@@ -2,28 +2,34 @@ type t = Cq.t list
 
 let dimension = List.length
 
-let vector stat db e =
-  Array.of_list
-    (List.map (fun q -> if Eval_engine.selects q db e then 1 else -1) stat)
+(* [membership db q] decides [e ∈ q(db)]. A structured plan evaluates
+   [q] once over [db] and answers every entity from that set; a
+   hom-search plan answers by pointed search per asked entity, which
+   for a small batch costs far less than searching from every entity
+   of [db]. *)
+let membership db q =
+  match Eval_engine.plan q with
+  | Eval_engine.Hom_search -> Cq.selects q db
+  | p ->
+      let selected = Elem.Set.of_list (Eval_engine.eval_with_plan q p db) in
+      fun e -> Elem.Set.mem e selected
 
-(* Evaluate feature by feature (one engine run per query) rather than
-   entity by entity: the planner picks Yannakakis or the decomposition
-   engine where applicable, turning the inner loop polynomial. *)
-let vectors stat db =
-  let entities = Db.entities db in
-  let columns =
-    List.map
-      (fun q -> Elem.Set.of_list (Eval_engine.eval q db))
-      stat
-  in
-  List.map
-    (fun e ->
-      ( e,
-        Array.of_list
-          (List.map
-             (fun selected -> if Elem.Set.mem e selected then 1 else -1)
-             columns) ))
-    entities
+(* Feature-major: each feature is planned and evaluated once for the
+   whole list, not once per entity. *)
+let vectors_for stat db es =
+  match es with
+  | [] -> []
+  | _ ->
+      let tests = List.map (membership db) stat in
+      List.map
+        (fun e ->
+          ( e,
+            Array.of_list
+              (List.map (fun selects -> if selects e then 1 else -1) tests) ))
+        es
+
+let vectors stat db = vectors_for stat db (Db.entities db)
+let vector stat db e = snd (List.hd (vectors_for stat db [ e ]))
 
 let examples stat (t : Labeling.training) =
   List.map

@@ -10,10 +10,18 @@ type t = Cq.t list
 
 val dimension : t -> int
 
-(** [vector stat db e] is [Π^D(e)] (entries [+1]/[-1]). *)
+(** [vectors_for stat db es] is [(e, Π^D(e))] for each [e] of [es], in
+    order and with repeats kept (entries [+1]/[-1]; an [e] outside
+    [η(D)] gets all [-1]). Each feature is planned and evaluated once
+    per call, except that hom-search features run a pointed search per
+    element of [es]. *)
+val vectors_for : t -> Db.t -> Elem.t list -> (Elem.t * int array) list
+
+(** [vector stat db e] is [Π^D(e)]: [vectors_for] on [[e]]. *)
 val vector : t -> Db.t -> Elem.t -> int array
 
-(** [vectors stat db] is [Π^D] over all entities of [db]. *)
+(** [vectors stat db] is [Π^D] over all entities of [db]: [vectors_for]
+    on [Db.entities db]. *)
 val vectors : t -> Db.t -> (Elem.t * int array) list
 
 (** [examples stat t] is the training collection

@@ -36,16 +36,9 @@ let plan_kind_name = function
 
 let eval_with_plan q p db =
   match p with
-  | Acyclic _ ->
-      (* The join forest depends only on the query, but relations are
-         per-database; Join_tree rebuilds internally. *)
-      Join_tree.eval q db
+  | Acyclic tree -> Join_tree.eval_tree tree db
   | Decomposed forest -> Ghw_eval.eval_with_decomp q db forest
   | Hom_search -> Cq.eval q db
 
 let eval ?max_width q db = eval_with_plan q (plan ?max_width q) db
 
-let selects ?max_width q db e =
-  match plan ?max_width q with
-  | Hom_search -> Cq.selects q db e
-  | p -> List.exists (Elem.equal e) (eval_with_plan q p db)

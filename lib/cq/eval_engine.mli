@@ -7,8 +7,8 @@
     - Otherwise per-entity backtracking homomorphism search ({!Cq}) —
       NP-hard combined complexity, matching the general case.
 
-    The choice is cached per query so statistics evaluated over many
-    databases (or many entities) plan once. *)
+    Nothing is cached: a caller that evaluates one query over many
+    databases plans once and passes the plan to {!eval_with_plan}. *)
 
 type plan =
   | Acyclic of Join_tree.tree
@@ -27,6 +27,3 @@ val eval : ?max_width:int -> Cq.t -> Db.t -> Elem.t list
 
 (** [eval_with_plan q plan db] reuses a previously computed plan. *)
 val eval_with_plan : Cq.t -> plan -> Db.t -> Elem.t list
-
-(** [selects ?max_width q db e] is membership via the chosen engine. *)
-val selects : ?max_width:int -> Cq.t -> Db.t -> Elem.t -> bool

@@ -2,8 +2,8 @@
 
    Each atom carries its distinct-variable list; a relation is the list
    of value rows aligned with that list. The ear-removal order doubles
-   as the bottom-up schedule (ears are removed leaves-first), and its
-   reverse as the top-down schedule. *)
+   as the bottom-up schedule (ears are removed leaves-first); the
+   top-down pass then only walks the path from the root to eta(x). *)
 
 type tree = {
   atoms : Fact.t array;
@@ -108,37 +108,30 @@ let is_acyclic q = build q <> None
 (* Rows are value arrays aligned with [distinct_vars]. *)
 let atom_relation db atom dvars =
   let args = Fact.args atom in
-  let positions =
-    (* for each distinct var, its first position in args *)
-    List.map
-      (fun v ->
-        (* cqlint: allow R1 — recursion bounded by the arity of one atom *)
-        let rec find i =
-          if Elem.equal args.(i) v then i else find (i + 1)
-        in
-        find 0)
-      dvars
+  let arity = Array.length args in
+  let first_position v =
+    (* cqlint: allow R1 — recursion bounded by the arity of one atom *)
+    let rec find i = if Elem.equal args.(i) v then i else find (i + 1) in
+    find 0
   in
-  let consistent fact_args =
-    (* repeated variables must carry equal values *)
-    let ok = ref true in
-    Array.iteri
-      (fun i v ->
-        Array.iteri
-          (fun j w ->
-            if
-              j > i && Elem.equal v w
-              && not (Elem.equal fact_args.(i) fact_args.(j))
-            then ok := false)
-          args)
-      args;
-    !ok
+  let positions = List.map first_position dvars in
+  (* A repeated variable must carry equal values: pair each repeat with
+     the variable's first position once per atom, so a fact pays one
+     comparison per repeat instead of an all-pairs scan. *)
+  let repeats =
+    List.filter_map
+      (fun i ->
+        let p = first_position args.(i) in
+        if p < i then Some (p, i) else None)
+      (List.init arity Fun.id)
   in
   List.filter_map
     (fun f ->
       let fargs = Fact.args f in
-      if Array.length fargs = Array.length args && consistent fargs then
-        Some (Array.of_list (List.map (fun p -> fargs.(p)) positions))
+      if
+        Array.length fargs = arity
+        && List.for_all (fun (p, i) -> Elem.equal fargs.(p) fargs.(i)) repeats
+      then Some (Array.of_list (List.map (fun p -> fargs.(p)) positions))
       else None)
     (Db.facts_of_rel (Fact.rel atom) db)
 
@@ -156,79 +149,94 @@ let shared_positions dvars_a dvars_b =
          in
          (idx dvars_a, idx dvars_b))
 
+module Elem_tbl = Hashtbl.Make (struct
+  type t = Elem.t
+
+  let equal = Elem.equal
+  let hash = Elem.hash
+end)
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = Elem.t list
+
+  let equal = List.equal Elem.equal
+  let hash = List.fold_left (fun acc e -> (acc * 31) + Elem.hash e) 17
+end)
+
 let project row positions = List.map (fun p -> row.(p)) positions
 
-(* a ⋉ b on the shared columns. *)
+(* a ⋉ b on the shared columns. One shared column (the common case
+   for binary relations) keys on the element itself, with no per-row
+   key list. *)
 let semijoin (rel_a, dv_a) (rel_b, dv_b) =
-  let pos = shared_positions dv_a dv_b in
-  if pos = [] then if rel_b = [] then [] else rel_a
+  match shared_positions dv_a dv_b with
+  | [] -> if rel_b = [] then [] else rel_a
+  | [ (pa, pb) ] ->
+      let keys = Elem_tbl.create 64 in
+      List.iter (fun row -> Elem_tbl.replace keys row.(pb) ()) rel_b;
+      List.filter (fun row -> Elem_tbl.mem keys row.(pa)) rel_a
+  | pos ->
+      let pa = List.map fst pos and pb = List.map snd pos in
+      let keys = Key_tbl.create 64 in
+      List.iter (fun row -> Key_tbl.replace keys (project row pb) ()) rel_b;
+      List.filter (fun row -> Key_tbl.mem keys (project row pa)) rel_a
+
+let eval_tree t db =
+  let n = Array.length t.atoms in
+  let rels =
+    Array.init n (fun i -> atom_relation db t.atoms.(i) t.distinct_vars.(i))
+  in
+  (* Bottom-up: when an ear is retired, semijoin its parent. *)
+  List.iter
+    (fun i ->
+      match t.parent.(i) with
+      | Some p ->
+          rels.(p) <-
+            semijoin
+              (rels.(p), t.distinct_vars.(p))
+              (rels.(i), t.distinct_vars.(i))
+      | None -> ())
+    t.removal_order;
+  (* Global satisfiability: every root must be nonempty (roots
+     absorb their whole component's constraints after the
+     bottom-up pass). *)
+  let roots_ok =
+    List.for_all
+      (fun i -> t.parent.(i) <> None || rels.(i) <> [])
+      t.removal_order
+  in
+  if not roots_ok then []
   else begin
-    let pa = List.map fst pos and pb = List.map snd pos in
-    let keys = Hashtbl.create (List.length rel_b) in
-    List.iter (fun row -> Hashtbl.replace keys (project row pb) ()) rel_b;
-    List.filter (fun row -> Hashtbl.mem keys (project row pa)) rel_a
+    let eta_idx =
+      (* cqlint: allow R1 — scan bounded by the atom count; eta(x) exists *)
+      let rec find i =
+        if Fact.rel t.atoms.(i) = Db.entity_rel
+           && Elem.equal (Fact.args t.atoms.(i)).(0) t.free
+        then i
+        else find (i + 1)
+      in
+      find 0
+    in
+    (* Top-down, only along the path from the root to eta(x): a
+       relation is globally consistent once its parent is and it has
+       been filtered by it, so the other branches need no pass. *)
+    (* cqlint: allow R1 — recursion bounded by the depth of the join tree *)
+    let rec reduce i =
+      match t.parent.(i) with
+      | None -> ()
+      | Some p ->
+          reduce p;
+          rels.(i) <-
+            semijoin
+              (rels.(i), t.distinct_vars.(i))
+              (rels.(p), t.distinct_vars.(p))
+    in
+    reduce eta_idx;
+    (* eta(x) has the single column x. *)
+    List.sort_uniq Elem.compare (List.map (fun row -> row.(0)) rels.(eta_idx))
   end
 
 let eval q db =
   match build q with
   | None -> invalid_arg "Join_tree.eval: query is not alpha-acyclic"
-  | Some t ->
-      let n = Array.length t.atoms in
-      let rels =
-        Array.init n (fun i -> atom_relation db t.atoms.(i) t.distinct_vars.(i))
-      in
-      (* Bottom-up: when an ear is retired, semijoin its parent. *)
-      List.iter
-        (fun i ->
-          match t.parent.(i) with
-          | Some p ->
-              rels.(p) <-
-                semijoin
-                  (rels.(p), t.distinct_vars.(p))
-                  (rels.(i), t.distinct_vars.(i))
-          | None -> ())
-        t.removal_order;
-      (* Global satisfiability: every root must be nonempty (roots
-         absorb their whole component's constraints after the
-         bottom-up pass). *)
-      let roots_ok =
-        List.for_all
-          (fun i -> t.parent.(i) <> None || rels.(i) <> [])
-          t.removal_order
-      in
-      if not roots_ok then []
-      else begin
-        (* Top-down: children filtered by their parent, in reverse
-           removal order, making every relation globally consistent. *)
-        List.iter
-          (fun i ->
-            match t.parent.(i) with
-            | Some p ->
-                rels.(i) <-
-                  semijoin
-                    (rels.(i), t.distinct_vars.(i))
-                    (rels.(p), t.distinct_vars.(p))
-            | None -> ())
-          (List.rev t.removal_order);
-        (* Read the answers off the eta(x) atom. *)
-        let eta_idx =
-          (* cqlint: allow R1 — scan bounded by the atom count; eta(x) exists *)
-          let rec find i =
-            if Fact.rel t.atoms.(i) = Db.entity_rel
-               && Elem.equal (Fact.args t.atoms.(i)).(0) t.free
-            then i
-            else find (i + 1)
-          in
-          find 0
-        in
-        let xpos =
-          (* cqlint: allow R1 — recursion bounded by the column count *)
-          let rec go i = function
-            | [] -> assert false
-            | v :: rest -> if Elem.equal v t.free then i else go (i + 1) rest
-          in
-          go 0 t.distinct_vars.(eta_idx)
-        in
-        List.sort_uniq Elem.compare
-          (List.map (fun row -> row.(xpos)) rels.(eta_idx))
-      end
+  | Some t -> eval_tree t db

@@ -24,8 +24,12 @@ val build : Cq.t -> tree option
 (** [is_acyclic q] is [build q <> None]. *)
 val is_acyclic : Cq.t -> bool
 
-(** [eval q db] computes [q(db)] by bottom-up semijoin reduction over
-    the join forest.
+(** [eval_tree t db] computes [q(db)] for the query [t] was built from,
+    by bottom-up semijoin reduction over the join forest. A tree built
+    once serves every database. *)
+val eval_tree : tree -> Db.t -> Elem.t list
+
+(** [eval q db] is [build] followed by {!eval_tree}.
     @raise Invalid_argument if [q] is not α-acyclic (check {!is_acyclic}
     or use {!Eval_engine.eval}). *)
 val eval : Cq.t -> Db.t -> Elem.t list

@@ -20,7 +20,8 @@
       retry-after; cold evals pay one token each, so sustained
       overload degrades to cache-only service instead of collapsing
    5. otherwise evaluate the cold entities under the configured
-      budget and cache the verdicts.
+      budget, all in one [Statistic.vectors_for] call, and cache the
+      verdicts.
 
    Cache keys are canonical neighborhood serializations when the
    model's features are all connected ([Neighborhood.model_radius]);
@@ -243,11 +244,10 @@ let classify t ~db_key ~db entities =
             let cls = snap.s_model.Model_io.classifier in
             match
               Guard.run budget (fun () ->
-                  List.map
-                    (fun (e, k) ->
-                      let vec = Statistic.vector stat db e in
-                      (e, k, Linsep.classify cls vec))
-                    cold)
+                  List.map2
+                    (fun (_, k) (e, vec) -> (e, k, Linsep.classify cls vec))
+                    cold
+                    (Statistic.vectors_for stat db (List.map fst cold)))
             with
             | Error f ->
                 t.eval_failures <- t.eval_failures + 1;
@@ -262,20 +262,16 @@ let classify t ~db_key ~db entities =
                   (fun (_, k, lab) ->
                     Eval_cache.add t.cache ~version:snap.s_version k lab)
                   cold_results;
-                let verdicts =
-                  List.map
-                    (fun (e, k, hit) ->
-                      match hit with
-                      | Some lab -> (e, lab)
-                      | None ->
-                          let _, _, lab =
-                            List.find (fun (e', k', _) -> e' = e && k' = k)
-                              cold_results
-                          in
-                          (e, lab))
-                    lookups
+                (* [cold_results] holds the misses of [lookups] in
+                   order, so one in-order merge restores input order. *)
+                let rec merge lookups cold =
+                  match (lookups, cold) with
+                  | (e, _, Some lab) :: rest, _ -> (e, lab) :: merge rest cold
+                  | (e, _, None) :: rest, (_, _, lab) :: cold ->
+                      (e, lab) :: merge rest cold
+                  | _ -> []
                 in
-                serve verdicts
+                serve (merge lookups cold_results)
           end
         end
       end

@@ -315,18 +315,6 @@ let test_engine_planning () =
   Alcotest.(check string) "triangle planned decomposed" "ghw-decomposition"
     (plan_name (q "x :- E(a,b), E(b,c), E(c,a)"))
 
-let prop_engine_selects_agrees =
-  QCheck.Test.make ~name:"Eval_engine.selects = Cq.selects" ~count:30
-    (QCheck.pair (spec_arb ~max_nodes:4 ~max_edges:5) (QCheck.int_range 0 5000))
-    (fun (s, qi) ->
-      let db = db_of_spec s in
-      QCheck.assume (Db.entities db <> []);
-      let qs = Lazy.force all_test_queries in
-      let qq = List.nth qs (qi mod List.length qs) in
-      List.for_all
-        (fun e -> Eval_engine.selects qq db e = Cq.selects qq db e)
-        (Db.entities db))
-
 let test_parse_errors () =
   let bad s =
     match Cq_parse.parse s with
@@ -396,6 +384,5 @@ let () =
           Alcotest.test_case "yannakakis" `Quick test_yannakakis_eval;
           Alcotest.test_case "planning" `Quick test_engine_planning;
           qcheck prop_engines_agree;
-          qcheck prop_engine_selects_agrees;
         ] );
     ]

@@ -398,6 +398,72 @@ let test_statistic_utilities () =
   let v = Statistic.vector stat t.Labeling.db (sym "a") in
   Alcotest.(check (array int)) "vector of a" [| 1; 1 |] v
 
+(* --- feature-major evaluation -------------------------------------------- *)
+
+(* A 5-clique over the existentials has ghw 3, past the planner's
+   default width bound, so it is evaluated by hom search; the triangle
+   plans to the decomposition engine. *)
+let clique_feature =
+  Cq_parse.parse
+    "x :- E(x,a), E(a,b), E(a,c), E(a,d), E(a,f), E(b,c), E(b,d), E(b,f), \
+     E(c,d), E(c,f), E(d,f)"
+
+let triangle_feature = Cq_parse.parse "x :- E(x,a), E(a,b), E(b,c), E(c,a)"
+
+let cqm2_features =
+  lazy
+    (Array.of_list
+       (Cq_enum.feature_queries ~schema:[ ("E", 2); ("U", 1) ] ~max_atoms:2 ()))
+
+(* The planner-free oracle: pointed hom search per entity and feature. *)
+let reference_vector stat db e =
+  Array.of_list
+    (List.map (fun q -> if Cq.selects q db e then 1 else -1) stat)
+
+let rows_match stat db rows es =
+  List.length rows = List.length es
+  && List.for_all2
+       (fun (e', v) e -> Elem.equal e' e && v = reference_vector stat db e)
+       rows es
+
+let prop_vectors_for_matches_reference =
+  QCheck.Test.make ~name:"vectors_for = per-entity Cq.selects" ~count:40
+    QCheck.(
+      triple (int_range 0 10_000)
+        (list_of_size (Gen.int_range 0 4) (int_range 0 10_000))
+        (list_of_size (Gen.int_range 0 6) (int_range 0 7)))
+    (fun (seed, picks, asked) ->
+      let t =
+        Gen_db.random_training ~seed ~schema:[ ("E", 2); ("U", 1) ]
+          ~domain_size:7 ~facts_per_rel:12 ~entities:4 ()
+      in
+      let db = t.Labeling.db in
+      let features = Lazy.force cqm2_features in
+      let stat =
+        clique_feature :: triangle_feature
+        :: List.map (fun i -> features.(i mod Array.length features)) picks
+      in
+      let domain = Array.of_list (Elem.Set.elements (Db.domain db)) in
+      let outside =
+        Elem.Set.elements
+          (Elem.Set.diff (Db.domain db) (Elem.Set.of_list (Db.entities db)))
+      in
+      (* duplicates, elements outside eta (in the domain or not at all) *)
+      let es =
+        List.map (fun i -> domain.(i mod Array.length domain)) asked
+        @ (Elem.sym "absent" :: outside)
+        @ Db.entities db @ Db.entities db
+      in
+      let kind q = Eval_engine.plan_kind_name (Eval_engine.plan q) in
+      kind clique_feature = "hom-search"
+      && kind triangle_feature = "ghw-decomposition"
+      && Statistic.vectors_for stat db [] = []
+      && rows_match stat db (Statistic.vectors_for stat db es) es
+      && rows_match stat db (Statistic.vectors stat db) (Db.entities db)
+      && List.for_all
+           (fun e -> Statistic.vector stat db e = reference_vector stat db e)
+           es)
+
 (* Prop 6.9: the Vertex-Cover reduction — minimal dimension of the
    reduced instance equals the minimum vertex cover. *)
 let test_vc_reduction_triangle () =
@@ -612,7 +678,10 @@ let () =
           qcheck prop_language_hierarchy;
         ] );
       ( "statistic",
-        [ Alcotest.test_case "utilities" `Quick test_statistic_utilities ] );
+        [
+          Alcotest.test_case "utilities" `Quick test_statistic_utilities;
+          qcheck prop_vectors_for_matches_reference;
+        ] );
       ( "model io",
         [
           Alcotest.test_case "roundtrip" `Quick test_model_roundtrip;

@@ -342,6 +342,38 @@ let test_serve_forked_worker_reset () =
         (results = parent.Serve.sv_results);
       rm_rf dir
 
+(* A mixed batch: [c] is warmed first, so [c] hits (twice) while [b]
+   (twice) and [a] are evaluated cold in one feature-major pass; the
+   verdicts come back in input order and equal the batch
+   [Model_io.apply]. *)
+let test_serve_mixed_batch_order () =
+  let dir = tmp_dir "mixed" in
+  rm_rf dir;
+  let feature_e = Cq.make ~free:x [ Fact.make_l "E" [ x; y ] ] in
+  let model =
+    Model_io.make [ feature_r; feature_e ]
+      {
+        Linsep.weights = [| Rat.of_int 2; Rat.of_int (-1) |];
+        threshold = Rat.of_int 0;
+      }
+  in
+  let sv = Serve.create ~config:serve_cfg (Model_store.open_ ~dir) in
+  ignore (Serve.publish sv model);
+  ignore (classify_ok sv ~db_key:"k" ~db:eval_db [ sym "c" ]);
+  let batch = [ sym "b"; sym "c"; sym "a"; sym "b"; sym "c" ] in
+  let r = classify_ok sv ~db_key:"k" ~db:eval_db batch in
+  check int_c "hits" 2 r.Serve.sv_hits;
+  check int_c "cold, repeats counted" 3 r.Serve.sv_cold;
+  let applied = Model_io.apply model eval_db in
+  check (Alcotest.list string_c) "input order"
+    (List.map Elem.to_string batch)
+    (List.map (fun (e, _) -> Elem.to_string e) r.Serve.sv_results);
+  check bool_c "labels equal Model_io.apply" true
+    (List.for_all
+       (fun (e, lab) -> lab = Labeling.get e applied)
+       r.Serve.sv_results);
+  rm_rf dir
+
 (* --- Serve: admission ladder and breaker -------------------------------- *)
 
 let with_fake_clock f =
@@ -424,6 +456,34 @@ let test_serve_breaker () =
   let st = Serve.stats sv in
   check int_c "breaker sheds counted" 1 st.Serve.st_shed_breaker;
   check int_c "eval failures counted" 3 st.Serve.st_eval_failures;
+  rm_rf dir
+
+(* A multi-entity cold batch (with a repeat) that runs out of fuel
+   fails as a whole, caches nothing and counts toward the breaker. *)
+let test_serve_cold_batch_exhausts () =
+  with_fake_clock @@ fun _ ->
+  let dir = tmp_dir "exhaust" in
+  rm_rf dir;
+  let cfg =
+    {
+      serve_cfg with
+      Serve.eval_fuel = Some 1;
+      breaker_threshold = 1;
+      breaker_cooldown = 50.0;
+    }
+  in
+  let sv = Serve.create ~config:cfg (Model_store.open_ ~dir) in
+  ignore (Serve.publish sv m_pos);
+  (match Serve.classify sv ~db_key:"k" ~db:eval_db (abc @ [ sym "a" ]) with
+  | Serve.Failed f ->
+      check bool_c "resource failure" true (Guard.is_resource_failure f)
+  | _ -> Alcotest.fail "a starved cold batch must fail");
+  let st = Serve.stats sv in
+  check int_c "failure counted" 1 st.Serve.st_eval_failures;
+  check int_c "nothing evaluated" 0 st.Serve.st_cold_evals;
+  (match Serve.classify sv ~db_key:"k" ~db:eval_db [ sym "a" ] with
+  | Serve.Shed (Jobq.Breaker_open _) -> ()
+  | _ -> Alcotest.fail "the failed batch must open the breaker");
   rm_rf dir
 
 (* --- publish/serve SIGKILL sweep ---------------------------------------- *)
@@ -871,6 +931,10 @@ let () =
           Alcotest.test_case "overload ladder" `Quick
             test_serve_overload_ladder;
           Alcotest.test_case "eval breaker" `Quick test_serve_breaker;
+          Alcotest.test_case "mixed hit/cold batch order" `Quick
+            test_serve_mixed_batch_order;
+          Alcotest.test_case "cold batch exhausts fuel" `Quick
+            test_serve_cold_batch_exhausts;
         ] );
       ( "crash",
         [
