@@ -10,17 +10,23 @@ let inseparable_witness ~k t =
 
 let separable ~k t = inseparable_witness ~k t = None
 
+(* Algorithm 1 under the class labels [labels]: every arrow
+   [(D, rep) →_k (D', f)] is a pinned query on one cover-game context
+   between the training and the evaluation database. *)
+let label_eval ~k (t : Labeling.training) ch labels eval_db =
+  let ctx = Cover_game.make_context ~k t.db eval_db in
+  let arrow rep f = Cover_game.holds_ctx ctx ~pin:[ (rep, f) ] in
+  List.fold_left
+    (fun acc (f, l) -> Labeling.set f l acc)
+    Labeling.empty
+    (Preorder_chain.classify ~arrow ch labels (Db.entities eval_db))
+
 let classify ~k (t : Labeling.training) eval_db =
   let ch = chain ~k t in
   match Preorder_chain.consistent_labels ch t.labeling with
   | Error _ ->
       invalid_arg "Ghw_sep.classify: training database is not GHW(k)-separable"
-  | Ok labels ->
-      let arrow rep f = Cover_game.holds1 ~k (t.db, rep) (eval_db, f) in
-      List.fold_left
-        (fun acc (f, l) -> Labeling.set f l acc)
-        Labeling.empty
-        (Preorder_chain.classify ~arrow ch labels (Db.entities eval_db))
+  | Ok labels -> label_eval ~k t ch labels eval_db
 
 let generate ~k ~depth (t : Labeling.training) =
   let ch = chain ~k t in
@@ -49,14 +55,7 @@ let apx_separable ~k ~eps (t : Labeling.training) =
 let apx_classify ~k (t : Labeling.training) eval_db =
   let ch = chain ~k t in
   let labels, disagreement = Preorder_chain.majority_labels ch t.labeling in
-  let arrow rep f = Cover_game.holds1 ~k (t.db, rep) (eval_db, f) in
-  let labeling =
-    List.fold_left
-      (fun acc (f, l) -> Labeling.set f l acc)
-      Labeling.empty
-      (Preorder_chain.classify ~arrow ch labels (Db.entities eval_db))
-  in
-  (labeling, disagreement)
+  (label_eval ~k t ch labels eval_db, disagreement)
 
 (* --- budgeted variants ---------------------------------------------- *)
 

@@ -49,11 +49,19 @@ val classifier : t -> Labeling.label array -> Linsep.classifier
 
 (** [vector_of ~arrow t x] is the ±1 vector of an item [x] under the
     canonical statistic, where [arrow rep x] decides
-    [x ∈ q_rep(·)] — e.g. [(D, rep) →_k (D', x)] in Algorithm 1. *)
+    [x ∈ q_rep(·)] — e.g. [(D, rep) →_k (D', x)] in Algorithm 1.
+
+    Precondition: [arrow] composes with the class order, i.e. whenever
+    [class_below.(i).(j)] and [arrow reps.(j) x] hold, so does
+    [arrow reps.(i) x]. The transitive relations [→_k] and [→] of both
+    callers satisfy it. [vector_of] uses it to skip arrows: a false
+    answer for class [j] fixes every class above [j] to [-1] without
+    asking. *)
 val vector_of : arrow:(Elem.t -> 'a -> bool) -> t -> 'a -> int array
 
 (** [classify ~arrow t labels xs] labels each item by applying
-    {!classifier} to its {!vector_of} — Algorithm 1 generically. *)
+    {!classifier} to its {!vector_of} — Algorithm 1 generically. [arrow]
+    must meet the precondition of {!vector_of}. *)
 val classify :
   arrow:(Elem.t -> 'a -> bool) ->
   t ->

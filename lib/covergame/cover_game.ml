@@ -117,21 +117,40 @@ let positions_of_set ~d ~d' ~pin x =
    does not depend on the pinned tuple — the covered sets, the full
    unpinned position lattice and its parent/child links. A pinned
    query then only filters the initially-alive positions and reruns
-   the kill propagation, which makes the n^2 games of [preorder]
-   dramatically cheaper. *)
+   the kill propagation, which makes the n^2 games of [preorder] and
+   the per-entity games of Algorithm 1 dramatically cheaper.
+
+   The links are stored flat. Every (position, legal pebble addition
+   to its set) pair owns an integer slot: the slots of position p are
+   [slot_off.(p) .. slot_off.(p+1) - 1]. A pinned query keeps one
+   surviving-extension counter per slot in an [int array]. Children
+   and parent slots are in compressed rows: the children of p are
+   [child_ids.(child_off.(p) .. child_off.(p+1) - 1)], and likewise
+   the parent slots p extends are read through [par_off]/[par_slots]. *)
 
 type context = {
-  k : int;
   d : Db.t;
   d' : Db.t;
   set_arr : Elem.Set.t array;
-  valid_ext : Elem.t list array;  (* per set: legal pebble additions *)
   pos_set : int array;  (* per position: its covered-set index *)
   pos_asg : Elem.t Elem.Map.t array;  (* per position: the mapping *)
-  c_links : (Elem.t * int) list array;  (* children by extension elem *)
-  parent_of : (int * Elem.t) list array;
+  slot_off : int array;  (* per position: first slot; length n + 1 *)
+  slot_pos : int array;  (* per slot: the position owning it *)
+  child_off : int array;
+  child_ids : int array;  (* one-element extensions of each position *)
+  par_off : int array;
+  par_slots : int array;  (* per position: the parent slots it fills *)
   empty_pos : int option;  (* id of the empty position *)
 }
+
+(* Compressed rows of per-row lists: offsets (length rows + 1) and the
+   concatenated entries. *)
+let compress rows =
+  let off = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun i l -> off.(i + 1) <- off.(i) + List.length l) rows;
+  let flat = Array.make off.(Array.length rows) 0 in
+  Array.iteri (fun i l -> List.iteri (fun j v -> flat.(off.(i) + j) <- v) l) rows;
+  (off, flat)
 
 let make_context ~k d d' =
   if k < 1 then invalid_arg "Cover_game.make_context: k must be >= 1";
@@ -141,6 +160,19 @@ let make_context ~k d d' =
   let set_index = Hashtbl.create 256 in
   Array.iteri (fun i s -> Hashtbl.replace set_index (set_key s) i) set_arr;
   let covered s = Hashtbl.mem set_tbl (set_key s) in
+  (* per set: the legal pebble additions, numbered in domain order *)
+  let ext_index = Array.make nsets Elem.Map.empty in
+  let dom_list = Elem.Set.elements (Db.domain d) in
+  for si = 0 to nsets - 1 do
+    Budget.tick ~what:"cover game: valid extensions" ();
+    let x = set_arr.(si) in
+    ext_index.(si) <-
+      List.filter
+        (fun a -> (not (Elem.Set.mem a x)) && covered (Elem.Set.add a x))
+        dom_list
+      |> List.mapi (fun i a -> (a, i))
+      |> List.to_seq |> Elem.Map.of_seq
+  done;
   let pos_tbl = Hashtbl.create 1024 in
   let pos_list = ref [] in
   let npos = ref 0 in
@@ -161,8 +193,18 @@ let make_context ~k d d' =
   let n = !npos in
   let pos_set = Array.map fst positions in
   let pos_asg = Array.map snd positions in
-  let c_links = Array.make n [] in
-  let parent_of = Array.make n [] in
+  let slot_off = Array.make (n + 1) 0 in
+  for p = 0 to n - 1 do
+    Budget.tick ~what:"cover game: extension slots" ();
+    slot_off.(p + 1) <- slot_off.(p) + Elem.Map.cardinal ext_index.(pos_set.(p))
+  done;
+  let slot_pos = Array.make slot_off.(n) 0 in
+  for p = 0 to n - 1 do
+    Budget.tick ~what:"cover game: extension slots" ();
+    Array.fill slot_pos slot_off.(p) (slot_off.(p + 1) - slot_off.(p)) p
+  done;
+  let children = Array.make n [] in
+  let parent_slots = Array.make n [] in
   Array.iteri
     (fun id (si, asg) ->
       let x = set_arr.(si) in
@@ -171,67 +213,54 @@ let make_context ~k d d' =
           let px = Elem.Set.remove c x in
           match Hashtbl.find_opt set_index (set_key px) with
           | None -> () (* unreachable: subsets of covered sets are covered *)
-          | Some psi ->
-              let pasg = Elem.Map.remove c asg in
-              let pkey = (psi, Elem.Map.bindings pasg) in
-              (match Hashtbl.find_opt pos_tbl pkey with
+          | Some psi -> (
+              let pkey = (psi, Elem.Map.bindings (Elem.Map.remove c asg)) in
+              match Hashtbl.find_opt pos_tbl pkey with
               | None -> () (* unreachable: restrictions of homs are homs *)
               | Some pid ->
-                  c_links.(pid) <- (c, id) :: c_links.(pid);
-                  parent_of.(id) <- (pid, c) :: parent_of.(id)))
+                  let slot = slot_off.(pid) + Elem.Map.find c ext_index.(psi) in
+                  children.(pid) <- id :: children.(pid);
+                  parent_slots.(id) <- slot :: parent_slots.(id)))
         x)
     positions;
-  let valid_ext = Array.make nsets [] in
-  let dom_list = Elem.Set.elements (Db.domain d) in
-  for si = 0 to nsets - 1 do
-    Budget.tick ~what:"cover game: valid extensions" ();
-    let x = set_arr.(si) in
-    valid_ext.(si) <-
-      List.filter
-        (fun a -> (not (Elem.Set.mem a x)) && covered (Elem.Set.add a x))
-        dom_list
-  done;
+  let child_off, child_ids = compress children in
+  let par_off, par_slots = compress parent_slots in
   let empty_pos =
     match Hashtbl.find_opt set_index [] with
     | None -> None
     | Some esi -> Hashtbl.find_opt pos_tbl (esi, [])
   in
-  { k; d; d'; set_arr; valid_ext; pos_set; pos_asg; c_links; parent_of;
-    empty_pos }
+  { d; d'; set_arr; pos_set; pos_asg; slot_off; slot_pos; child_off;
+    child_ids; par_off; par_slots; empty_pos }
+
+(* Does the image of fact [f] of [d] under (pin ∪ asg) lie in [d']?
+   Every element of [f] must be pinned or assigned. *)
+let maps_into ctx ~pin asg f =
+  let image a =
+    match Elem.Map.find_opt a pin with
+    | Some v -> v
+    | None -> Elem.Map.find a asg
+  in
+  Db.mem (Fact.make (Fact.rel f) (Array.map image (Fact.args f))) ctx.d'
 
 (* Is a stored unpinned position compatible with the pin: pinned
    elements it pebbles must carry the pinned values, and the facts of
    [d] inside (its set ∪ pinned elements) that touch a pinned element
-   must map into [d'] under (assignment ∪ pin). *)
-let pin_compatible ctx ~pin ~pin_facts id =
+   must map into [d'] under (assignment ∪ pin). [set_check] gives, per
+   covered set, whether it pebbles a pinned element and those facts
+   that also touch an unpinned one; facts on pinned elements alone are
+   the same for every position and checked once by the caller. *)
+let pin_compatible ctx ~pin ~set_check id =
   let asg = ctx.pos_asg.(id) in
-  let x = ctx.set_arr.(ctx.pos_set.(id)) in
-  Elem.Map.for_all
-    (fun a b ->
-      match Elem.Map.find_opt a asg with
-      | Some v -> Elem.equal v b
-      | None -> true)
-    pin
-  && List.for_all
-       (fun f ->
-         let ok = ref true in
-         let mapped =
-           Array.map
-             (fun a ->
-               match Elem.Map.find_opt a pin with
-               | Some v -> v
-               | None -> begin
-                   match Elem.Map.find_opt a asg with
-                   | Some v -> v
-                   | None ->
-                       (* element outside x ∪ pin: fact not in scope *)
-                       ok := false;
-                       a
-                 end)
-             (Fact.args f)
-         in
-         (not !ok) || Db.mem (Fact.make (Fact.rel f) mapped) ctx.d')
-       (pin_facts x)
+  let pebbles_pin, facts = set_check ctx.pos_set.(id) in
+  ((not pebbles_pin)
+  || Elem.Map.for_all
+       (fun a b ->
+         match Elem.Map.find_opt a asg with
+         | Some v -> Elem.equal v b
+         | None -> true)
+       pin)
+  && List.for_all (maps_into ctx ~pin asg) facts
 
 let holds_ctx ctx ~pin:pin_list =
   (* A pin mapping one element to two targets is not a function. *)
@@ -249,41 +278,53 @@ let holds_ctx ctx ~pin:pin_list =
   if not !consistent then false
   else begin
     let pin = Elem.Map.filter (fun a _ -> Elem.Set.mem a (Db.domain ctx.d)) pin in
-    (* facts of d touching a pinned element, indexed lazily per set *)
-    let pin_fact_pool =
+    let pin_dom =
+      Elem.Map.fold (fun a _ acc -> Elem.Set.add a acc) pin Elem.Set.empty
+    in
+    (* facts of d touching a pinned element *)
+    let pinned_only, mixed_pool =
       List.sort_uniq Fact.compare
         (Elem.Map.fold
            (fun a _ acc -> Db.facts_with_elem a ctx.d @ acc)
            pin [])
+      |> List.partition (fun f -> Elem.Set.subset (Fact.elems f) pin_dom)
     in
-    let pin_dom =
-      Elem.Map.fold (fun a _ acc -> Elem.Set.add a acc) pin Elem.Set.empty
-    in
-    let pin_facts x =
-      let scope = Elem.Set.union x pin_dom in
-      List.filter (fun f -> Elem.Set.subset (Fact.elems f) scope) pin_fact_pool
+    let set_checks = Array.make (Array.length ctx.set_arr) None in
+    let set_check si =
+      match set_checks.(si) with
+      | Some c -> c
+      | None ->
+          let x = ctx.set_arr.(si) in
+          let scope = Elem.Set.union x pin_dom in
+          let c =
+            ( not (Elem.Set.disjoint x pin_dom),
+              List.filter
+                (fun f -> Elem.Set.subset (Fact.elems f) scope)
+                mixed_pool )
+          in
+          set_checks.(si) <- Some c;
+          c
     in
     let n = Array.length ctx.pos_set in
-    if n = 0 then false
+    (* a pin whose own facts do not map kills every position *)
+    if n = 0 || not (List.for_all (maps_into ctx ~pin Elem.Map.empty) pinned_only)
+    then false
     else begin
       let alive = Array.make n false in
       for id = 0 to n - 1 do
         Budget.tick ~what:"cover game: pin filter" ();
-        alive.(id) <- pin_compatible ctx ~pin ~pin_facts id
+        alive.(id) <- pin_compatible ctx ~pin ~set_check id
       done;
-      (* surviving-extension counts per (parent, extension element) *)
-      let ext_count = Hashtbl.create 1024 in
-      let bump key delta =
-        let c =
-          match Hashtbl.find_opt ext_count key with Some c -> c | None -> 0
-        in
-        Hashtbl.replace ext_count key (c + delta)
-      in
-      for pid = 0 to n - 1 do
+      (* surviving-extension counts per slot *)
+      let count = Array.make (Array.length ctx.slot_pos) 0 in
+      for id = 0 to n - 1 do
         Budget.tick ~what:"cover game: extension counts" ();
-        List.iter
-          (fun (c, child) -> if alive.(child) then bump (pid, c) 1)
-          ctx.c_links.(pid)
+        if alive.(id) then
+          (* cqlint: allow R1 — bounded by the position's parent links *)
+          for i = ctx.par_off.(id) to ctx.par_off.(id + 1) - 1 do
+            let s = ctx.par_slots.(i) in
+            count.(s) <- count.(s) + 1
+          done
       done;
       let queue = Queue.create () in
       let kill id =
@@ -292,19 +333,20 @@ let holds_ctx ctx ~pin:pin_list =
           Queue.add id queue
         end
       in
+      let kill_children id =
+        (* cqlint: allow R1 — bounded by the position's child links *)
+        for i = ctx.child_off.(id) to ctx.child_off.(id + 1) - 1 do
+          kill ctx.child_ids.(i)
+        done
+      in
       (* initial forth failures *)
       for id = 0 to n - 1 do
         Budget.tick ~what:"cover game: forth check" ();
         if alive.(id) then
-          List.iter
-            (fun a ->
-              let c =
-                match Hashtbl.find_opt ext_count (id, a) with
-                | Some c -> c
-                | None -> 0
-              in
-              if c = 0 then kill id)
-            ctx.valid_ext.(ctx.pos_set.(id))
+          (* cqlint: allow R1 — bounded by the position's extension slots *)
+          for s = ctx.slot_off.(id) to ctx.slot_off.(id + 1) - 1 do
+            if count.(s) = 0 then kill id
+          done
       done;
       (* also: dead-by-pin positions must still drag down their
          parents' counts — handled above since counts only include
@@ -312,52 +354,30 @@ let holds_ctx ctx ~pin:pin_list =
          position's children must die. Enqueue dead ones' children. *)
       for id = 0 to n - 1 do
         Budget.tick ~what:"cover game: kill propagation" ();
-        if not alive.(id) then
-          List.iter (fun (_, child) -> kill child) ctx.c_links.(id)
+        if not alive.(id) then kill_children id
       done;
       while not (Queue.is_empty queue) do
         Budget.tick ~what:"cover game: kill propagation" ();
         let id = Queue.pop queue in
-        List.iter (fun (_, child) -> kill child) ctx.c_links.(id);
-        List.iter
-          (fun (pid, c) ->
-            if alive.(pid) then begin
-              bump (pid, c) (-1);
-              let cnt =
-                match Hashtbl.find_opt ext_count (pid, c) with
-                | Some c -> c
-                | None -> 0
-              in
-              if cnt <= 0 then kill pid
-            end)
-          ctx.parent_of.(id)
+        kill_children id;
+        (* cqlint: allow R1 — bounded by the position's parent links *)
+        for i = ctx.par_off.(id) to ctx.par_off.(id + 1) - 1 do
+          let s = ctx.par_slots.(i) in
+          let pid = ctx.slot_pos.(s) in
+          if alive.(pid) then begin
+            count.(s) <- count.(s) - 1;
+            if count.(s) <= 0 then kill pid
+          end
+        done
       done;
       match ctx.empty_pos with Some id -> alive.(id) | None -> false
     end
   end
 
-let game ~k d pin d' =
-  let ctx = make_context ~k d d' in
-  holds_ctx ctx ~pin:(Elem.Map.bindings pin)
-
 let holds ~k (d, tuple) (d', tuple') =
-  if k < 1 then invalid_arg "Cover_game.holds: k must be >= 1";
   if List.length tuple <> List.length tuple' then
     invalid_arg "Cover_game.holds: tuples of different lengths";
-  (* A pin that maps one element to two distinct targets is not a
-     function, hence not a partial homomorphism: Spoiler wins. *)
-  let consistent = ref true in
-  let pin =
-    List.fold_left2
-      (fun acc a b ->
-        match Elem.Map.find_opt a acc with
-        | Some b' when not (Elem.equal b b') ->
-            consistent := false;
-            acc
-        | _ -> Elem.Map.add a b acc)
-      Elem.Map.empty tuple tuple'
-  in
-  !consistent && game ~k d pin d'
+  holds_ctx (make_context ~k d d') ~pin:(List.combine tuple tuple')
 
 let holds1 ~k (d, a) (d', b) = holds ~k (d, [ a ]) (d', [ b ])
 let boolean ~k d d' = holds ~k (d, []) (d', [])

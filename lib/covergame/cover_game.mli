@@ -29,23 +29,31 @@ val covered_subsets : k:int -> Db.t -> Elem.Set.t list
 
 type context
 (** Precomputed game structure between a fixed pair of databases: the
-    covered sets and the unpinned position lattice. Lets many pinned
-    queries (e.g. the n² of {!preorder}) share the expensive
-    enumeration. *)
+    covered sets and the unpinned position lattice, with its links
+    indexed by integer slots. Lets many pinned queries share the
+    expensive enumeration: the n² of {!preorder}, one per
+    (representative, evaluation entity) in Algorithm 1, one per
+    negative example in GHW(k)-QBE. A context is immutable; pinned
+    queries on it are independent of each other and of their order. *)
 
 (** [make_context ~k d d'] precomputes the game between [d] and [d'].
     @raise Invalid_argument if [k < 1]. *)
 val make_context : k:int -> Db.t -> Db.t -> context
 
 (** [holds_ctx ctx ~pin] decides [(d, ā) →_k (d', b̄)] for the pinned
-    pairs [pin = List.combine ā b̄] over a precomputed context. *)
+    pairs [pin = List.combine ā b̄] over a precomputed context. Its
+    cost is linear in the size of the position lattice. *)
 val holds_ctx : context -> pin:(Elem.t * Elem.t) list -> bool
 
-(** [holds ~k (d, as_) (d', bs)] decides [(d, ā) →_k (d', b̄)].
+(** [holds ~k (d, as_) (d', bs)] decides [(d, ā) →_k (d', b̄)]. It
+    builds a fresh context on every call; callers asking many pinned
+    questions about one pair of databases should build it once with
+    {!make_context} and query it with {!holds_ctx}.
     @raise Invalid_argument if [k < 1] or tuple lengths differ. *)
 val holds : k:int -> Db.t * Elem.t list -> Db.t * Elem.t list -> bool
 
-(** [holds1 ~k (d, a) (d', b)] is {!holds} on single points. *)
+(** [holds1 ~k (d, a) (d', b)] is {!holds} on single points, with the
+    same per-call context rebuild. *)
 val holds1 : k:int -> Db.t * Elem.t -> Db.t * Elem.t -> bool
 
 (** [boolean ~k d d'] is the unpointed game [d →_k d']. *)

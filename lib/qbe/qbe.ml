@@ -34,10 +34,16 @@ let cq_explanation ?(minimize = false) inst =
     Some (if minimize then Cq.core q else q)
   end
 
+(* One cover-game context between the product and the database
+   answers every negative as a pinned query; without negatives there
+   is nothing to build it for. *)
 let ghw_decide ~k inst =
+  inst.neg = []
+  ||
   let p, point = product_of_positives inst in
+  let ctx = Cover_game.make_context ~k p inst.db in
   List.for_all
-    (fun b -> not (Cover_game.holds1 ~k (p, point) (inst.db, b)))
+    (fun b -> not (Cover_game.holds_ctx ctx ~pin:[ (point, b) ]))
     inst.neg
 
 (* A GHW(k) explanation, materialized as a depth-bounded unraveling of

@@ -133,6 +133,32 @@ let prop_preorder_matches_holds1 =
         arr;
       !ok)
 
+(* One context answers many pinned queries: every answer must equal a
+   fresh game's, whatever the order of the queries, so no state may
+   leak from one pinned query into the next. *)
+let prop_shared_context_matches_fresh =
+  QCheck.Test.make ~name:"shared context = fresh game per pin" ~count:30
+    (QCheck.triple
+       (spec_arb ~max_nodes:4 ~max_edges:5)
+       (spec_arb ~max_nodes:4 ~max_edges:5)
+       QCheck.int)
+    (fun (sa, sb, seed) ->
+      let d = db_of_spec sa and d' = db_of_spec sb in
+      let pairs =
+        List.concat_map
+          (fun a -> List.map (fun b -> (a, b)) (Db.entities d'))
+          (Db.entities d)
+      in
+      let pairs =
+        QCheck.Gen.shuffle_l pairs (Random.State.make [| seed |])
+      in
+      let ctx = Cover_game.make_context ~k:1 d d' in
+      List.for_all
+        (fun (a, b) ->
+          Cover_game.holds_ctx ctx ~pin:[ (a, b) ]
+          = Cover_game.holds1 ~k:1 (d, a) (d', b))
+        pairs)
+
 (* Prop 5.2 (one direction made effective): for a query of ghw <= k,
    membership via homomorphism equals membership via the game on the
    canonical database. *)
@@ -245,6 +271,7 @@ let () =
           qcheck prop_game_large_k_is_hom;
           qcheck prop_game_reflexive_transitive;
           qcheck prop_preorder_matches_holds1;
+          qcheck prop_shared_context_matches_fresh;
           qcheck prop_52_eval_equals_game;
           qcheck prop_pruning_preserves_preorder;
         ] );

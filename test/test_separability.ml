@@ -108,6 +108,47 @@ let prop_alg1_self_classification =
       let lab = Cqfeat.classify (ghw 1) t t.Labeling.db in
       Labeling.disagreement lab t.Labeling.labeling = 0)
 
+(* Algorithm 1 skips the arrows the class order already decides. On
+   planted GHW(1)-separable instances its vectors and labels must equal
+   those of the full ±1 vectors, with every representative asked by a
+   fresh game; likewise for the CQ variant with homomorphisms. *)
+let ghw1_queries =
+  List.filter
+    (fun q -> Cq_decomp.ghw_le q 1)
+    (Cq_enum.feature_queries ~schema:[ ("E", 2); ("U", 1) ] ~max_atoms:2 ())
+
+let prop_alg1_pruning_exact =
+  QCheck.Test.make ~name:"pruned Algorithm 1 = unpruned vectors" ~count:25
+    (QCheck.triple
+       (spec_arb ~max_nodes:5 ~max_edges:6)
+       (spec_arb ~max_nodes:5 ~max_edges:6)
+       (QCheck.int_bound (List.length ghw1_queries - 1)))
+    (fun (st, se, qi) ->
+      let t = Planted.label_by_query (db_of_spec st) (List.nth ghw1_queries qi) in
+      let eval_db = db_of_spec se in
+      let agrees ch classify ~arrow =
+        match Preorder_chain.consistent_labels ch t.Labeling.labeling with
+        | Error _ -> false (* planted instances are separable *)
+        | Ok labels ->
+            let c = Preorder_chain.classifier ch labels in
+            let full f =
+              Array.map
+                (fun rep -> if arrow rep f then 1 else -1)
+                ch.Preorder_chain.reps
+            in
+            let ents = Db.entities eval_db in
+            List.for_all
+              (fun f -> Preorder_chain.vector_of ~arrow ch f = full f)
+              ents
+            && Labeling.equal (classify t eval_db)
+                 (Labeling.of_list
+                    (List.map (fun f -> (f, Linsep.classify c (full f))) ents))
+      in
+      agrees (Ghw_sep.chain ~k:1 t) (Ghw_sep.classify ~k:1)
+        ~arrow:(fun rep f -> Cover_game.holds1 ~k:1 (t.db, rep) (eval_db, f))
+      && agrees (Cq_sep.chain t) Cq_sep.classify
+           ~arrow:(fun rep f -> Hom.pointed t.db [ rep ] eval_db [ f ]))
+
 (* Algorithm 1 vs the materialized statistic: on tiny instances where
    the unraveling stabilizes, the two classifications agree. *)
 let test_alg1_matches_materialized () =
@@ -640,6 +681,7 @@ let () =
           qcheck prop_ghw_monotone_in_k;
           qcheck prop_ghw_implies_cq;
           qcheck prop_alg1_self_classification;
+          qcheck prop_alg1_pruning_exact;
         ] );
       ( "approx (Sec 7)",
         [
