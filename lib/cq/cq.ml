@@ -138,174 +138,186 @@ let rename_canonically q =
   let rename v = Hashtbl.find mapping v in
   { free = rename q.free; canon = Db.map_elems rename q.canon }
 
-(* Isomorphism-canonical string: minimize the rendered sorted atom list
-   over all renamings of existential variables. Exponential in the
-   variable count; used only to deduplicate the small queries of CQ[m]
-   enumeration. *)
-let render_with q mapping =
-  let rename v = Elem.Map.find v mapping in
-  let facts =
-    List.map (Fact.map_elems rename) (Db.facts q.canon)
-  in
-  String.concat ";"
-    (List.sort String.compare (List.map Fact.to_string facts))
-
 let render_plain q =
   let q = rename_canonically q in
   String.concat ";"
     (List.sort String.compare (List.map Fact.to_string (Db.facts q.canon)))
 
-(* Color refinement on the variables of a query: colors are structural
-   values (no per-query interning) so they are comparable across
-   queries and invariant under isomorphism. A color is the explicit
-   serialization of the full refinement signature — not its
-   [Hashtbl.hash], which reads only a bounded prefix of a deep value
-   and so conflated signatures that first differ past that prefix. *)
-let refine_var_colors q ~rounds =
-  let atoms = List.sort Fact.compare (Db.facts q.canon) in
-  let add_str buf s =
-    Buffer.add_string buf (string_of_int (String.length s));
-    Buffer.add_char buf ':';
-    Buffer.add_string buf s
+(* Isomorphism-canonical form on integers. The variables are numbered
+   with the free variable as 0 and each atom becomes [| rel; v1; ...;
+   vk |], where [rel] is the rank of the atom's (name, arity) among the
+   query's sorted relation symbols — an isomorphism invariant, so ranks
+   are comparable across isomorphic queries. The facts of [D_q] are
+   distinct, so the encoded atoms are too. *)
+
+let compare_int_arrays (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  (* cqlint: allow R1 — scan bounded by the shorter array's length *)
+  let rec go i =
+    if i >= la || i >= lb then Int.compare la lb
+    else
+      let c = Int.compare a.(i) b.(i) in
+      if c <> 0 then c else go (i + 1)
   in
-  let add_int buf i =
-    Buffer.add_string buf (string_of_int i);
-    Buffer.add_char buf ';'
+  go 0
+
+let encode q =
+  let facts = Db.facts q.canon in
+  let rels =
+    List.sort_uniq compare
+      (List.map (fun f -> (Fact.rel f, Fact.arity f)) facts)
   in
-  let initial v =
-    let occ =
-      List.concat_map
-        (fun f ->
-          let args = Fact.args f in
-          List.filter_map
-            (fun i ->
-              if Elem.equal args.(i) v then
-                Some (Fact.rel f, i, Array.length args)
-              else None)
-            (List.init (Array.length args) (fun i -> i)))
+  let rel_ids = List.mapi (fun i r -> (r, i)) rels in
+  let rel_id f = List.assoc (Fact.rel f, Fact.arity f) rel_ids in
+  let ids = ref (Elem.Map.singleton q.free 0) in
+  let next = ref 1 in
+  let var v =
+    match Elem.Map.find_opt v !ids with
+    | Some i -> i
+    | None ->
+        let i = !next in
+        ids := Elem.Map.add v i !ids;
+        incr next;
+        i
+  in
+  let atoms =
+    List.map
+      (fun f ->
+        let args = Fact.args f in
+        Array.init
+          (Array.length args + 1)
+          (fun i -> if i = 0 then rel_id f else var args.(i - 1)))
+      facts
+  in
+  (rels, !next, Array.of_list atoms)
+
+(* Color refinement on the numbered variables, starting from the free
+   variable against the rest. Each round's signature of a variable is
+   its color followed by, per atom containing it and in sorted order,
+   the atom's relation, its arguments' colors and the bit mask of the
+   variable's positions. Colors are ranks of sorted signatures, so they
+   are isomorphism invariants; rounds repeat while the partition
+   splits, and the free variable keeps color 0. *)
+let refine_colors ~nvars atoms =
+  let rank sigs =
+    let order = Array.init nvars (fun v -> v) in
+    Array.stable_sort (fun u v -> compare_int_arrays sigs.(u) sigs.(v)) order;
+    let color = Array.make nvars 0 in
+    let classes = ref 0 in
+    Array.iteri
+      (fun i v ->
+        if i > 0 && compare_int_arrays sigs.(order.(i - 1)) sigs.(v) <> 0 then
+          incr classes;
+        color.(v) <- !classes)
+      order;
+    (color, !classes + 1)
+  in
+  let rec refine (color, k) =
+    Budget.tick ~what:"cq: color refinement" ();
+    let signature v =
+      let contributions =
+        Array.fold_left
+          (fun acc a ->
+            let mask = ref 0 in
+            Array.iteri
+              (fun i x -> if i > 0 && x = v then mask := !mask lor (1 lsl i))
+              a;
+            if !mask = 0 then acc
+            else
+              Array.init
+                (Array.length a + 1)
+                (fun i ->
+                  if i = 0 then a.(0)
+                  else if i = Array.length a then !mask
+                  else color.(a.(i)))
+              :: acc)
+          [] atoms
+      in
+      Array.concat
+        ([| color.(v) |] :: List.sort compare_int_arrays contributions)
+    in
+    let color', k' = rank (Array.init nvars signature) in
+    if k' > k then refine (color', k') else color
+  in
+  refine (rank (Array.init nvars (fun v -> [| min v 1 |])))
+
+(* Minimum over the renamings that give the variables of color class i
+   the names right after those of class i-1, trying every order within
+   each class, of the concatenated sorted atom encodings. *)
+let min_encoding ~nvars ~color atoms =
+  let order = Array.init nvars (fun v -> v) in
+  Array.stable_sort (fun u v -> Int.compare color.(u) color.(v)) order;
+  (* Colors are ranks, so class [c] ends at [class_end.(c)] in [order]. *)
+  let class_end = Array.make nvars 0 in
+  Array.iteri (fun i v -> class_end.(color.(v)) <- i + 1) order;
+  let name = Array.make nvars 0 in
+  let best = ref None in
+  let evaluate () =
+    Array.iteri (fun i v -> name.(v) <- i) order;
+    let enc =
+      Array.map
+        (fun a -> Array.mapi (fun i x -> if i = 0 then x else name.(x)) a)
         atoms
     in
-    let buf = Buffer.create 64 in
-    Buffer.add_char buf (if Elem.equal v q.free then 'F' else 'E');
-    List.iter
-      (fun (r, i, ar) ->
-        add_str buf r;
-        add_int buf i;
-        add_int buf ar)
-      (List.sort compare occ);
-    Buffer.contents buf
+    Array.sort compare_int_arrays enc;
+    let enc = Array.concat (Array.to_list enc) in
+    match !best with
+    | Some b when compare_int_arrays b enc <= 0 -> ()
+    | _ -> best := Some enc
   in
-  let color : (Elem.t, string) Hashtbl.t = Hashtbl.create 16 in
-  Elem.Set.iter
-    (fun v -> Hashtbl.replace color v (initial v))
-    (Db.domain q.canon);
-  for _round = 1 to rounds do
-    Budget.tick ~what:"cq: color refinement" ();
-    let updates =
-      Elem.Set.fold
-        (fun v acc ->
-          let sigs =
-            List.filter_map
-              (fun f ->
-                let args = Fact.args f in
-                if Array.exists (Elem.equal v) args then
-                  Some
-                    ( Fact.rel f,
-                      Array.to_list
-                        (Array.map (fun a -> Hashtbl.find color a) args),
-                      List.filter_map
-                        (fun i ->
-                          if Elem.equal args.(i) v then Some i else None)
-                        (List.init (Array.length args) (fun i -> i)) )
-                else None)
-              atoms
-          in
-          let buf = Buffer.create 128 in
-          Buffer.add_char buf 'S';
-          add_str buf (Hashtbl.find color v);
-          List.iter
-            (fun (r, arg_colors, positions) ->
-              add_str buf r;
-              Buffer.add_char buf '[';
-              List.iter (add_str buf) arg_colors;
-              Buffer.add_char buf '|';
-              List.iter (add_int buf) positions;
-              Buffer.add_char buf ']')
-            (List.sort compare sigs);
-          (v, Buffer.contents buf) :: acc)
-        (Db.domain q.canon) []
-    in
-    List.iter (fun (v, c) -> Hashtbl.replace color v c) updates
-  done;
-  color
+  let swap i j =
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  in
+  (* Permute order.(i..hi-1) — the rest of the current class — then
+     move on to the class starting at [hi]. *)
+  let rec permute i hi =
+    Budget.tick ~what:"cq: canonical renaming search" ();
+    if i >= nvars then evaluate ()
+    else if i >= hi then permute i class_end.(color.(order.(i)))
+    else
+      for j = i to hi - 1 do
+        swap i j;
+        permute (i + 1) hi;
+        swap i j
+      done
+  in
+  permute 0 0;
+  Option.get !best
 
-(* Isomorphism-canonical string: assign the names y0.. to existential
-   variables grouped by refined color (classes ordered by color value,
-   a structural invariant), minimizing the rendered atom list only
-   over permutations within each color class. Most small queries have
-   singleton classes, so the search is near-linear; the fallback
+(* Rendering as unsigned varints (7 bits per byte, high bit = more),
+   a prefix-free code, so distinct encodings give distinct strings. *)
+let render_encoding rels enc =
+  let buf = Buffer.create 64 in
+  (* cqlint: allow R1 — recursion bounded by the 63 bits of an int *)
+  let rec add_int x =
+    if x < 128 then Buffer.add_char buf (Char.unsafe_chr x)
+    else begin
+      Buffer.add_char buf (Char.unsafe_chr (128 lor (x land 127)));
+      add_int (x lsr 7)
+    end
+  in
+  add_int (List.length rels);
+  List.iter
+    (fun (r, ar) ->
+      add_int (String.length r);
+      Buffer.add_string buf r;
+      add_int ar)
+    rels;
+  Array.iter add_int enc;
+  Buffer.contents buf
+
+(* Isomorphism-canonical string: the minimum integer encoding over the
+   color-respecting renamings, rendered once. Most small queries have
+   singleton color classes, so the search is near-linear; the
    deterministic renaming is used above 10 existential variables. *)
 let iso_canonical_string q =
-  let ex = Elem.Set.elements (existential_vars q) in
-  let n = List.length ex in
-  if n > 10 then render_plain q
-  else begin
-    let color = refine_var_colors q ~rounds:2 in
-    let classes =
-      let tbl = Hashtbl.create 8 in
-      List.iter
-        (fun v ->
-          let c = Hashtbl.find color v in
-          let existing =
-            match Hashtbl.find_opt tbl c with Some l -> l | None -> []
-          in
-          Hashtbl.replace tbl c (v :: existing))
-        ex;
-      List.sort
-        (fun (c1, _) (c2, _) -> compare c1 c2)
-        (* cqlint: allow R6 — fold output is immediately sorted by the unique class key *)
-        (Hashtbl.fold (fun c vs acc -> (c, List.rev vs) :: acc) tbl [])
-    in
-    (* Name blocks: class i gets names y_offset.. in some within-class
-       permutation. *)
-    let best = ref None in
-    let rec assign_classes classes offset mapping =
-      match classes with
-      | [] ->
-          let full = Elem.Map.add q.free default_free mapping in
-          let s = render_with q full in
-          (match !best with
-          | Some b when String.compare b s <= 0 -> ()
-          | _ -> best := Some s)
-      | (_, members) :: rest ->
-          let size = List.length members in
-          let names =
-            List.init size (fun i ->
-                Elem.sym (Printf.sprintf "y%d" (offset + i)))
-          in
-          let rec perms chosen remaining_names remaining_members k =
-            Budget.tick ~what:"cq: canonical renaming search" ();
-            match remaining_members with
-            | [] -> k chosen
-            | v :: more ->
-                List.iter
-                  (fun name ->
-                    perms
-                      (Elem.Map.add v name chosen)
-                      (List.filter
-                         (fun n' -> not (Elem.equal n' name))
-                         remaining_names)
-                      more k)
-                  remaining_names
-          in
-          perms mapping names members (fun m ->
-              assign_classes rest (offset + size) m)
-    in
-    assign_classes classes 0 Elem.Map.empty;
-    match !best with
-    | Some s -> s
-    | None -> render_with q (Elem.Map.add q.free default_free Elem.Map.empty)
-  end
+  let rels, nvars, atoms = encode q in
+  if nvars - 1 > 10 then render_plain q
+  else
+    let color = refine_colors ~nvars atoms in
+    render_encoding rels (min_encoding ~nvars ~color atoms)
 
 let equal q1 q2 = Elem.equal q1.free q2.free && Db.equal q1.canon q2.canon
 

@@ -90,9 +90,22 @@ val rename_canonically : t -> t
 
 (** [iso_canonical_string q] is a string invariant under variable
     renaming: two queries get the same string iff they are isomorphic
-    (equal up to renaming). Computed by minimizing over renamings
-    guided by a greedy ordering; intended for deduplication of small
-    queries. *)
+    (equal up to renaming the existential variables). Intended for
+    deduplicating small queries; the string is an opaque binary key,
+    not a rendering of the query.
+
+    Canonical form: the free variable is numbered 0, the others
+    [1..n], and each atom is encoded as its relation's rank among the
+    query's (name, arity) pairs followed by its argument numbers.
+    Color refinement on these integers — from the free variable
+    against the rest, rounds over each variable's atoms, the
+    positions it takes in them and its neighbours' colors until the
+    partition stops splitting — orders the variables into color
+    classes; the key is the minimum sorted encoding over all renamings
+    that permute variables within their class. Above 10 existential
+    variables the key falls back to a deterministic renaming that is
+    not isomorphism-invariant (isomorphic large queries may get
+    different strings, never the reverse). *)
 val iso_canonical_string : t -> string
 
 val equal : t -> t -> bool

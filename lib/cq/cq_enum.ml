@@ -10,12 +10,14 @@ let schema_of_db db =
 
 let fresh_var i = Elem.sym (Printf.sprintf "y%d" i)
 
+(* The relation symbols the generator walks, in the order it walks
+   them: [eta] dropped, stably sorted by name. *)
+let normalize_schema schema =
+  List.sort (fun (a, _) (b, _) -> String.compare a b)
+    (List.filter (fun (rel, _) -> rel <> Db.entity_rel) schema)
+
 let generate ?max_var_occ ~schema ~max_atoms ~emit () =
-  let schema =
-    List.sort (fun (a, _) (b, _) -> String.compare a b)
-      (List.filter (fun (rel, _) -> rel <> Db.entity_rel) schema)
-  in
-  let schema = Array.of_list schema in
+  let schema = Array.of_list (normalize_schema schema) in
   let occ_ok occ =
     match max_var_occ with
     | None -> true
@@ -65,7 +67,7 @@ let generate ?max_var_occ ~schema ~max_atoms ~emit () =
   in
   go [] 0 0 [ Cq.default_free ] Elem.Map.empty 0
 
-let feature_queries ?max_var_occ ~schema ~max_atoms () =
+let enumerate ?max_var_occ ~schema ~max_atoms () =
   let seen = Hashtbl.create 1024 in
   let out = ref [] in
   let emit atoms =
@@ -79,19 +81,32 @@ let feature_queries ?max_var_occ ~schema ~max_atoms () =
   generate ?max_var_occ ~schema ~max_atoms ~emit ();
   List.rev !out
 
+(* Prop 4.1: the list depends only on the schema and the bounds, so it
+   is enumerated once per (normalized schema, m, p). An entry is
+   inserted only after its enumeration completes — a budget abort never
+   leaves a partial list behind — and the table is cleared when full. *)
+let memo_capacity = 16
+
+let memo : ((string * int) list * int * int option, Cq.t list) Hashtbl.t =
+  Hashtbl.create memo_capacity
+
+let () =
+  Runtime_state.register ~name:"cq_enum.memo"
+    ~validate:(fun () -> Hashtbl.length memo <= memo_capacity)
+    (fun () -> Hashtbl.reset memo)
+
+let feature_queries ?max_var_occ ~schema ~max_atoms () =
+  let key = (normalize_schema schema, max_atoms, max_var_occ) in
+  match Hashtbl.find_opt memo key with
+  | Some qs -> qs
+  | None ->
+      let qs = enumerate ?max_var_occ ~schema ~max_atoms () in
+      if Hashtbl.length memo >= memo_capacity then Hashtbl.reset memo;
+      Hashtbl.replace memo key qs;
+      qs
+
 let count ?max_var_occ ~schema ~max_atoms () =
-  let seen = Hashtbl.create 1024 in
-  let n = ref 0 in
-  let emit atoms =
-    let q = Cq.make ~free:Cq.default_free atoms in
-    let key = Cq.iso_canonical_string q in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      incr n
-    end
-  in
-  generate ?max_var_occ ~schema ~max_atoms ~emit ();
-  !n
+  List.length (feature_queries ?max_var_occ ~schema ~max_atoms ())
 
 let dedupe_equivalent qs =
   let keep = ref [] in

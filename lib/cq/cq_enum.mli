@@ -19,12 +19,20 @@
     the mandatory [eta(x)] atom is implicit and not counted), up to
     isomorphism. With [max_var_occ = p] only queries in CQ[m,p] (each
     variable occurring at most [p] times) are produced. Includes the
-    trivial query [eta(x)] (zero atoms). *)
+    trivial query [eta(x)] (zero atoms).
+
+    Results are shared: the list is memoized per (schema,
+    [max_atoms], [max_var_occ]) — the schema taken without [eta] and
+    sorted by relation name, so a reordered schema hits the same
+    entry — and later calls return the same physical list. The memo
+    is registered as the [`Cache] entry ["cq_enum.memo"], so
+    {!Runtime_state.reset_caches} (and every forked worker) drops it;
+    an enumeration aborted by its budget leaves no entry behind. *)
 val feature_queries :
   ?max_var_occ:int -> schema:(string * int) list -> max_atoms:int -> unit -> Cq.t list
 
 (** [count ?max_var_occ ~schema ~max_atoms ()] is
-    [List.length (feature_queries ...)] without retaining the list. *)
+    [List.length (feature_queries ...)] (and so memoizes the list). *)
 val count :
   ?max_var_occ:int -> schema:(string * int) list -> max_atoms:int -> unit -> int
 

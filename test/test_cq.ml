@@ -155,7 +155,130 @@ let test_iso_canonical () =
   Alcotest.(check string) "iso equal" (Cq.iso_canonical_string a)
     (Cq.iso_canonical_string b);
   Alcotest.(check bool) "distinct" true
-    (Cq.iso_canonical_string a <> Cq.iso_canonical_string c)
+    (Cq.iso_canonical_string a <> Cq.iso_canonical_string c);
+  (* Color refinement cannot split these: every existential variable
+     has one in- and one out-edge, so the key rests on the search over
+     renamings inside the single color class. *)
+  let triangles = q "x :- E(a,b), E(b,c), E(c,a), E(d,e), E(e,f), E(f,d)" in
+  let interleaved = q "x :- E(a,c), E(c,e), E(e,a), E(b,d), E(d,f), E(f,b)" in
+  let hexagon = q "x :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)" in
+  Alcotest.(check string) "two triangles, renamed"
+    (Cq.iso_canonical_string triangles)
+    (Cq.iso_canonical_string interleaved);
+  Alcotest.(check bool) "two triangles vs hexagon" true
+    (Cq.iso_canonical_string triangles <> Cq.iso_canonical_string hexagon)
+
+(* Random small queries: at most 3 atoms over R/1, E/2, T/3, arguments
+   drawn from the free variable (index 0) and 4 existential ones. The
+   second query of a pair is independent, a renaming of the first
+   (free variable included, atoms shuffled), or such a renaming with
+   one argument changed. *)
+type iso_pair = {
+  atoms : (int * int list) list;
+  mode : int;
+  perm : int list;
+  other : (int * int list) list;
+  tweak : int * int;
+}
+
+let iso_rels = [| ("R", 1); ("E", 2); ("T", 3) |]
+
+let iso_pair_arb =
+  let open QCheck.Gen in
+  let atom =
+    int_range 0 2 >>= fun r ->
+    list_repeat (snd iso_rels.(r)) (int_range 0 4) >>= fun args ->
+    return (r, args)
+  in
+  let atoms = list_size (int_range 0 3) atom in
+  let gen =
+    atoms >>= fun first ->
+    int_range 0 2 >>= fun mode ->
+    shuffle_l [ 1; 2; 3; 4 ] >>= fun perm ->
+    (if mode = 0 then atoms else shuffle_l first) >>= fun other ->
+    pair (int_range 0 8) (int_range 0 4) >>= fun tweak ->
+    return { atoms = first; mode; perm; other; tweak }
+  in
+  QCheck.make
+    ~print:(fun p ->
+      let show l =
+        String.concat ";"
+          (List.map
+             (fun (r, args) ->
+               Printf.sprintf "%s(%s)" (fst iso_rels.(r))
+                 (String.concat "," (List.map string_of_int args)))
+             l)
+      in
+      Printf.sprintf "{atoms=%s; mode=%d; perm=%s; other=%s; tweak=(%d,%d)}"
+        (show p.atoms) p.mode
+        (String.concat "," (List.map string_of_int p.perm))
+        (show p.other) (fst p.tweak) (snd p.tweak))
+    gen
+
+let iso_query ~var atoms =
+  Cq.make ~free:(var 0)
+    (List.map
+       (fun (r, args) -> Fact.make_l (fst iso_rels.(r)) (List.map var args))
+       atoms)
+
+let iso_queries p =
+  let y i = if i = 0 then Cq.default_free else sym (Printf.sprintf "y%d" i) in
+  let z i =
+    if i = 0 then sym "w" else sym (Printf.sprintf "z%d" (List.nth p.perm (i - 1)))
+  in
+  let tweaked =
+    (* argument number [pos], counted over all atoms, becomes [v] *)
+    let pos, v = p.tweak in
+    let k = ref 0 in
+    List.map
+      (fun (r, args) ->
+        ( r,
+          List.map
+            (fun a ->
+              let here = !k = pos in
+              incr k;
+              if here then v else a)
+            args ))
+      p.other
+  in
+  let q2 =
+    match p.mode with
+    | 0 -> iso_query ~var:y p.other
+    | 1 -> iso_query ~var:z p.other
+    | _ -> iso_query ~var:z tweaked
+  in
+  (iso_query ~var:y p.atoms, q2)
+
+(* Brute force: some bijection of the existential variables, with the
+   free variables matched, maps the atoms of [q1] onto those of [q2]. *)
+let brute_isomorphic q1 q2 =
+  let ex1 = Elem.Set.elements (Cq.existential_vars q1) in
+  let ex2 = Elem.Set.elements (Cq.existential_vars q2) in
+  let rec perms = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun x ->
+            List.map (fun p -> x :: p) (perms (List.filter (fun y -> y <> x) l)))
+          l
+  in
+  List.length ex1 = List.length ex2
+  && List.exists
+       (fun image ->
+         let map v =
+           if Elem.equal v (Cq.free q1) then Cq.free q2
+           else List.assoc v (List.combine ex1 image)
+         in
+         Db.equal (Db.map_elems map (Cq.canonical q1)) (Cq.canonical q2))
+       (perms ex2)
+
+let prop_iso_key_exact =
+  QCheck.Test.make ~name:"iso key equal iff isomorphic" ~count:500 iso_pair_arb
+    (fun p ->
+      let q1, q2 = iso_queries p in
+      Bool.equal
+        (String.equal (Cq.iso_canonical_string q1) (Cq.iso_canonical_string q2))
+        (brute_isomorphic q1 q2))
 
 (* --- enumeration ------------------------------------------------------ *)
 
@@ -202,6 +325,68 @@ let prop_enum_within_bounds =
 let test_dedupe_equivalent () =
   let qs = [ q "x :- E(x,y)"; q "x :- E(x,u)"; q "x :- E(x,y), E(x,z)" ] in
   Alcotest.(check int) "dedupe" 1 (List.length (Cq_enum.dedupe_equivalent qs))
+
+(* Counts and the feature-list digest below were computed with the
+   previous (string-rendering) canonical key; the integer key must give
+   the same partition and keep the first-emitted representative. *)
+let test_enum_golden_counts () =
+  List.iter
+    (fun (name, schema, m, expected) ->
+      Alcotest.(check int) name expected (Cq_enum.count ~schema ~max_atoms:m ()))
+    [
+      ("{E/2,R/1} m=3", [ ("E", 2); ("R", 1) ], 3, 324);
+      ("{E/2} m=4", [ ("E", 2) ], 4, 1036);
+      ("{E/2,U/1,S/3} m=2", [ ("E", 2); ("U", 1); ("S", 3) ], 2, 775);
+      ("{E/2,F/2} m=3", [ ("E", 2); ("F", 2) ], 3, 1281);
+    ]
+
+let feature_digest qs =
+  Digest.to_hex (Digest.string (String.concat "\n" (List.map Cq.to_string qs)))
+
+let test_enum_pinned_digest () =
+  Alcotest.(check string)
+    "order and representatives" "e5d3164d1dd35fd6c9ca27c90311be3a"
+    (feature_digest
+       (Cq_enum.feature_queries ~schema:[ ("E", 2); ("R", 1) ] ~max_atoms:3 ()))
+
+(* --- feature memo ------------------------------------------------------ *)
+
+let memo_schema = [ ("E", 2); ("R", 1) ]
+
+let test_memo_fresh_equal () =
+  let cached = Cq_enum.feature_queries ~schema:memo_schema ~max_atoms:2 () in
+  Alcotest.(check bool) "second call shares the list" true
+    (cached == Cq_enum.feature_queries ~schema:memo_schema ~max_atoms:2 ());
+  Runtime_state.reset_caches ();
+  let fresh = Cq_enum.feature_queries ~schema:memo_schema ~max_atoms:2 () in
+  Alcotest.(check bool) "reset drops the entry" true (cached != fresh);
+  Alcotest.(check bool) "same queries, same order" true
+    (List.equal Cq.equal cached fresh)
+
+let test_memo_abort_leaves_no_entry () =
+  Runtime_state.reset_caches ();
+  let schema = [ ("E", 2); ("F", 2) ] in
+  (match
+     Guard.run (Budget.make ~fuel:200 ()) (fun () ->
+         Cq_enum.feature_queries ~schema ~max_atoms:3 ())
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "200 ticks cannot enumerate CQ[3] over {E/2,F/2}");
+  Alcotest.(check (list string)) "registry valid" [] (Runtime_state.validate_all ());
+  Alcotest.(check int) "full list after the abort" 1281
+    (List.length (Cq_enum.feature_queries ~schema ~max_atoms:3 ()))
+
+let test_memo_schema_normalized () =
+  let base = Cq_enum.feature_queries ~schema:memo_schema ~max_atoms:2 () in
+  Alcotest.(check bool) "reordered schema hits" true
+    (base == Cq_enum.feature_queries ~schema:[ ("R", 1); ("E", 2) ] ~max_atoms:2 ());
+  Alcotest.(check bool) "schema with eta hits" true
+    (base
+    == Cq_enum.feature_queries
+         ~schema:[ ("R", 1); (Db.entity_rel, 1); ("E", 2) ]
+         ~max_atoms:2 ());
+  Alcotest.(check bool) "other bounds miss" true
+    (base != Cq_enum.feature_queries ~max_var_occ:2 ~schema:memo_schema ~max_atoms:2 ())
 
 (* --- decompositions --------------------------------------------------- *)
 
@@ -360,6 +545,7 @@ let () =
           Alcotest.test_case "parse roundtrip" `Quick test_parse_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "iso canonical" `Quick test_iso_canonical;
+          qcheck prop_iso_key_exact;
         ] );
       ( "enumeration",
         [
@@ -369,6 +555,15 @@ let () =
           Alcotest.test_case "disconnected atoms" `Quick test_enum_contains_disconnected;
           Alcotest.test_case "dedupe equivalent" `Quick test_dedupe_equivalent;
           qcheck prop_enum_within_bounds;
+          Alcotest.test_case "golden counts" `Quick test_enum_golden_counts;
+          Alcotest.test_case "pinned digest" `Quick test_enum_pinned_digest;
+        ] );
+      ( "feature memo",
+        [
+          Alcotest.test_case "cached = fresh" `Quick test_memo_fresh_equal;
+          Alcotest.test_case "abort leaves no entry" `Quick
+            test_memo_abort_leaves_no_entry;
+          Alcotest.test_case "schema normalized" `Quick test_memo_schema_normalized;
         ] );
       ( "decomposition",
         [
