@@ -166,13 +166,19 @@ let handle_classify sv rest =
                         (fun s -> s <> "")
                         (String.split_on_char ',' names)
                     in
-                    let by_name =
-                      List.map (fun e -> (Elem.to_string e, e)) all
-                    in
+                    (* One table per request; the first entity with a
+                       given name wins, as in a list lookup. *)
+                    let by_name = Hashtbl.create (List.length all) in
+                    List.iter
+                      (fun e ->
+                        let n = Elem.to_string e in
+                        if not (Hashtbl.mem by_name n) then
+                          Hashtbl.add by_name n e)
+                      all;
                     let rec resolve acc = function
                       | [] -> Ok (List.rev acc)
                       | n :: ns -> (
-                          match List.assoc_opt n by_name with
+                          match Hashtbl.find_opt by_name n with
                           | Some e -> resolve (e :: acc) ns
                           | None ->
                               Error

@@ -99,14 +99,26 @@ let rank dist f =
   let min_d = List.fold_left min max_int (max_int :: profile) in
   (min_d, Fact.rel f, Array.length args, profile)
 
+(* The order [compare] puts ranks in, without its generic traversal. *)
+let compare_rank (d1, r1, n1, p1) (d2, r2, n2, p2) =
+  let c = Int.compare d1 d2 in
+  if c <> 0 then c
+  else
+    let c = String.compare r1 r2 in
+    if c <> 0 then c
+    else
+      let c = Int.compare n1 n2 in
+      if c <> 0 then c else List.compare Int.compare p1 p2
+
 let key ~radius db e =
   let facts, dist = ball ~radius db e in
+  (* Each fact's rank is computed once, not once per comparison. *)
   let ordered =
     List.sort
-      (fun (f1, _) (f2, _) ->
-        let c = compare (rank dist f1) (rank dist f2) in
+      (fun (r1, f1) (r2, f2) ->
+        let c = compare_rank r1 r2 in
         if c <> 0 then c else Fact.compare f1 f2)
-      (Fact.Map.bindings facts)
+      (Fact.Map.fold (fun f _ acc -> (rank dist f, f) :: acc) facts [])
   in
   (* Injective ids in traversal order; the entity is always n0, so the
      key pins the distinguished point of the ball. *)
@@ -124,7 +136,7 @@ let key ~radius db e =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "r%d|" radius);
   List.iter
-    (fun (f, _) ->
+    (fun (_, f) ->
       Budget.tick ~what ();
       Buffer.add_string buf (Fact.rel f);
       Buffer.add_char buf '(';

@@ -10,7 +10,9 @@
    Every live cache is reachable from one registered [Runtime_state]
    entry: [reset_caches] in a forked worker empties the tables (a
    pure cache, dropping entries only costs recomputation), and the
-   registry validator checks the capacity bound. *)
+   registry validator checks the capacity bound. The registry holds
+   the caches weakly, so a dropped cache and its table are collected
+   as soon as its owner is. *)
 
 type t = {
   capacity : int;
@@ -23,7 +25,11 @@ type t = {
   mutable flips : int;
 }
 
-let live : t list ref = ref []
+let live : t Weak.t ref = ref (Weak.create 0)
+
+let live_caches () =
+  let w = !live in
+  List.filter_map (Weak.get w) (List.init (Weak.length w) Fun.id)
 
 let clear t =
   Hashtbl.reset t.tbl;
@@ -32,8 +38,10 @@ let clear t =
 let () =
   Runtime_state.register ~name:"service.eval_cache"
     ~validate:(fun () ->
-      List.for_all (fun t -> Hashtbl.length t.tbl <= t.capacity) !live)
-    (fun () -> List.iter clear !live)
+      List.for_all
+        (fun t -> Hashtbl.length t.tbl <= t.capacity)
+        (live_caches ()))
+    (fun () -> List.iter clear (live_caches ()))
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Eval_cache.create: capacity < 1";
@@ -49,7 +57,11 @@ let create ~capacity =
       flips = 0;
     }
   in
-  live := t :: !live;
+  (* Pruned here: the registry is as long as the caches still alive. *)
+  let caches = t :: live_caches () in
+  let w = Weak.create (List.length caches) in
+  List.iteri (fun i c -> Weak.set w i (Some c)) caches;
+  live := w;
   t
 
 let set_version t v =

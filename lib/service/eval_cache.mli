@@ -7,7 +7,8 @@
     be served under a model it was not computed with. FIFO eviction
     bounds memory. All live caches hang off one registered
     {!Runtime_state} entry, so [reset_caches] in forked workers
-    empties them (correctness is unaffected — entries recompute). *)
+    empties them (correctness is unaffected — entries recompute). The
+    entry holds them weakly: a cache nobody references is collected. *)
 
 type t
 

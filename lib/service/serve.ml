@@ -27,7 +27,11 @@
    model's features are all connected ([Neighborhood.model_radius]);
    key construction itself runs under a small fuel budget and falls
    back to a database-identity key when the ball is too dense to walk
-   cheaply — a fallback key is merely less shareable, never wrong. *)
+   cheaply — a fallback key is merely less shareable, never wrong.
+   [db_key] only names the database in those fallback keys. Keys are
+   memoized per physical database (see [key_memo]), so a warm batch on
+   the database served last walks no ball, and neither does a cold
+   batch after a publish. *)
 
 type config = {
   cache_capacity : int;
@@ -153,14 +157,78 @@ let refill t =
 let db_identity_key ~db_key e =
   Printf.sprintf "db:%s|%s" db_key (Elem.to_string e)
 
+(* The key memo: one slot, for the database served last. A key
+   depends only on the database, the radius and the walk's fuel, and a
+   [Db.t] is immutable, so the slot is identified by the physical
+   database. [db_key] cannot identify it: a caller may reuse one for
+   different contents. [Dense] records a walk that did not finish
+   within its fuel; it is rendered with the request's own [db_key]. A
+   single slot retains at most one database that is no longer served. *)
+type key_outcome = Ball of string | Dense
+
+module Elem_tbl = Hashtbl.Make (struct
+  type t = Elem.t
+
+  let equal = Elem.equal
+  let hash = Elem.hash
+end)
+
+type key_memo = {
+  km_db : Db.t;
+  km_radius : int;
+  km_fuel : int;
+  km_keys : key_outcome Elem_tbl.t;  (* elements of [km_db]'s domain *)
+}
+
+let key_memo : key_memo option ref = ref None
+
+let () =
+  Runtime_state.register ~name:"serve.key_memo"
+    ~validate:(fun () ->
+      match !key_memo with
+      | None -> true
+      | Some m -> Elem_tbl.length m.km_keys <= Db.domain_size m.km_db)
+    (fun () -> key_memo := None)
+
+let memo_for db ~radius ~fuel =
+  match !key_memo with
+  | Some m when m.km_db == db && m.km_radius = radius && m.km_fuel = fuel -> m
+  | _ ->
+      let m =
+        {
+          km_db = db;
+          km_radius = radius;
+          km_fuel = fuel;
+          km_keys = Elem_tbl.create 64;
+        }
+      in
+      key_memo := Some m;
+      m
+
 let key_for t snap ~db_key db e =
   match snap.s_radius with
   | None -> db_identity_key ~db_key e
   | Some r -> (
-      let budget = Budget.make ~fuel:t.cfg.key_fuel () in
-      match Guard.run budget (fun () -> Neighborhood.key ~radius:r db e) with
-      | Ok k -> k
-      | Error _ -> db_identity_key ~db_key e)
+      let memo = memo_for db ~radius:r ~fuel:t.cfg.key_fuel in
+      let outcome =
+        match Elem_tbl.find_opt memo.km_keys e with
+        | Some o -> o
+        | None ->
+            let budget = Budget.make ~fuel:t.cfg.key_fuel () in
+            let o =
+              match
+                Guard.run budget (fun () -> Neighborhood.key ~radius:r db e)
+              with
+              | Ok k -> Ball k
+              | Error _ -> Dense
+            in
+            (* Only elements of the domain: the table stays bounded by
+               the database whatever entities a caller names. *)
+            if Elem.Set.mem e (Db.domain db) then
+              Elem_tbl.replace memo.km_keys e o;
+            o
+      in
+      match outcome with Ball k -> k | Dense -> db_identity_key ~db_key e)
 
 type served = {
   sv_version : int;

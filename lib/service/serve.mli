@@ -59,8 +59,12 @@ type outcome =
     [Shed Invalid]; all hits → [Served] unconditionally; token bucket
     short → [Shed Overloaded]; breaker open → [Shed Breaker_open];
     else evaluate cold entities under the configured budget. [db_key]
-    is an identity for [db] (e.g. a file fingerprint), used in cache
-    keys when neighborhood keys are unavailable. *)
+    is an identity for [db] (e.g. a file fingerprint), used only in
+    the fallback cache keys when neighborhood keys are unavailable.
+    Neighborhood keys are memoized for the database served last,
+    identified physically ([==]) since a [Db.t] is immutable: repeated
+    batches on the same [db] value, across publishes, compute each
+    entity's key once. *)
 val classify :
   t -> db_key:string -> db:Db.t -> Elem.t list -> outcome
 

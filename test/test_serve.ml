@@ -8,7 +8,9 @@
      detection, legacy v1 compatibility, old-contents preservation
      when a save aborts mid-write;
    - Neighborhood keys: connectivity/radius analysis, invariance
-     under element renaming, discrimination between different balls;
+     under element renaming, discrimination between different balls,
+     byte-identity with a reference copy of the original key on random
+     databases;
    - Model_store: publish/list/rollback, monotone versions across
      reopen and rollback, recovery from a dangling CURRENT and from
      corrupt version files, temp-file cleanup;
@@ -17,7 +19,11 @@
      publish and rollback, cache survival of Runtime_state
      reset_caches in forked (Isolate) workers, the admission ladder
      (overload sheds cold work with structured rejects while pure
-     cache-hit batches keep serving), and the eval breaker;
+     cache-hit batches keep serving), the eval breaker, and the
+     weakly held cache registry;
+   - the neighborhood-key memo: keyed by the physical database, not
+     by [db_key]; kept across a publish; dense-ball fallback keys;
+     reset, and its bound by the database's domain;
    - publish/serve SIGKILL sweep: a child publishes 30 versions
      (interleaved with served classifications) and SIGKILLs itself at
      the k-th atomic-write stage crossing, for every k until a run
@@ -216,6 +222,96 @@ let test_neighborhood_key_invariance () =
     (Neighborhood.key ~radius:2 d1 (sym "a")
     = Neighborhood.key ~radius:2 shorter (sym "a"))
 
+(* The key as first written: the ball walk, then a sort whose
+   comparator rebuilds both ranks on every comparison. The library
+   ranks each fact once; its keys must stay byte-identical. *)
+let reference_key ~radius db e =
+  let dist = ref (Elem.Map.singleton e 0) in
+  let facts = ref Fact.Map.empty in
+  let frontier = ref [ e ] in
+  let d = ref 0 in
+  while !frontier <> [] && !d < radius do
+    let layer = List.sort Elem.compare !frontier in
+    frontier := [];
+    List.iter
+      (fun el ->
+        List.iter
+          (fun f ->
+            if not (Fact.Map.mem f !facts) then facts := Fact.Map.add f !d !facts;
+            Array.iter
+              (fun arg ->
+                if not (Elem.Map.mem arg !dist) then begin
+                  dist := Elem.Map.add arg (!d + 1) !dist;
+                  frontier := arg :: !frontier
+                end)
+              (Fact.args f))
+          (Db.facts_with_elem el db))
+      layer;
+    incr d
+  done;
+  let rank f =
+    let args = Fact.args f in
+    let profile =
+      Array.to_list
+        (Array.map
+           (fun a ->
+             match Elem.Map.find_opt a !dist with Some d -> d | None -> max_int)
+           args)
+    in
+    let min_d = List.fold_left min max_int (max_int :: profile) in
+    (min_d, Fact.rel f, Array.length args, profile)
+  in
+  let ordered =
+    List.sort
+      (fun (f1, _) (f2, _) ->
+        let c = compare (rank f1) (rank f2) in
+        if c <> 0 then c else Fact.compare f1 f2)
+      (Fact.Map.bindings !facts)
+  in
+  let ids = ref (Elem.Map.singleton e 0) in
+  let next = ref 1 in
+  let id_of el =
+    match Elem.Map.find_opt el !ids with
+    | Some i -> i
+    | None ->
+        let i = !next in
+        ids := Elem.Map.add el i !ids;
+        incr next;
+        i
+  in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (Printf.sprintf "r%d|" radius);
+  List.iter
+    (fun (f, _) ->
+      Buffer.add_string buf (Fact.rel f);
+      Buffer.add_char buf '(';
+      Array.iteri
+        (fun i a ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_string buf (string_of_int (id_of a)))
+        (Fact.args f);
+      Buffer.add_string buf ");")
+    ordered;
+  Buffer.contents buf
+
+let prop_key_matches_reference =
+  QCheck.Test.make ~name:"key equals the reference key" ~count:200
+    QCheck.(
+      quad (int_range 0 100_000) (int_range 1 12) (int_range 0 10)
+        (int_range 1 3))
+    (fun (seed, domain_size, facts_per_rel, radius) ->
+      let db =
+        Gen_db.random_db ~seed
+          ~schema:[ ("E", 2); ("U", 1); ("T", 3) ]
+          ~domain_size ~facts_per_rel ()
+      in
+      Elem.Set.for_all
+        (fun e ->
+          String.equal
+            (Neighborhood.key ~radius db e)
+            (reference_key ~radius db e))
+        (Db.domain db))
+
 (* --- Model_store ------------------------------------------------------- *)
 
 let test_store_publish_rollback () =
@@ -373,6 +469,126 @@ let test_serve_mixed_batch_order () =
        (fun (e, lab) -> lab = Labeling.get e applied)
        r.Serve.sv_results);
   rm_rf dir
+
+(* --- Serve: the neighborhood-key memo ------------------------------------ *)
+
+let labels_match model db (s : Serve.served) =
+  let applied = Model_io.apply model db in
+  List.for_all (fun (e, lab) -> lab = Labeling.get e applied) s.Serve.sv_results
+
+(* [eval_db] with R moved from a to b: same entities, other balls. *)
+let eval_db' =
+  List.fold_left
+    (fun db e -> Db.add_entity e db)
+    (Db.of_list
+       [ ("R", [ sym "b" ]); ("R", [ sym "c" ]); ("E", [ sym "a"; sym "b" ]) ])
+    abc
+
+(* The memo is keyed by the physical database, so two databases served
+   under one [db_key] never share keys. *)
+let test_memo_same_db_key () =
+  let dir = tmp_dir "memo-dbkey" in
+  rm_rf dir;
+  let sv = Serve.create ~config:serve_cfg (Model_store.open_ ~dir) in
+  ignore (Serve.publish sv m_pos);
+  for round = 1 to 2 do
+    List.iter
+      (fun (db, want) ->
+        let s = classify_ok sv ~db_key:"same" ~db abc in
+        check string_c (Printf.sprintf "round %d verdicts" round) want (signs s);
+        check bool_c "labels equal Model_io.apply" true (labels_match m_pos db s))
+      [ (eval_db, "+-+"); (eval_db', "-++") ]
+  done;
+  rm_rf dir
+
+(* Keys are model-independent apart from the radius: after a
+   republish the memoized keys serve a cold batch exactly as a fresh
+   [Serve.t] does. *)
+let test_memo_survives_publish () =
+  let dir = tmp_dir "memo-publish" in
+  let fresh_dir = tmp_dir "memo-fresh" in
+  rm_rf dir;
+  rm_rf fresh_dir;
+  let feature_e = Cq.make ~free:x [ Fact.make_l "E" [ x; y ] ] in
+  let model =
+    Model_io.make [ feature_r; feature_e ]
+      {
+        Linsep.weights = [| Rat.of_int 2; Rat.of_int (-1) |];
+        threshold = Rat.of_int 0;
+      }
+  in
+  let sv = Serve.create ~config:serve_cfg (Model_store.open_ ~dir) in
+  ignore (Serve.publish sv m_pos);
+  ignore (classify_ok sv ~db_key:"k" ~db:eval_db abc);
+  ignore (Serve.publish sv model);
+  let again = classify_ok sv ~db_key:"k" ~db:eval_db abc in
+  check int_c "republish empties the verdict cache" 3 again.Serve.sv_cold;
+  let fresh = Serve.create ~config:serve_cfg (Model_store.open_ ~dir:fresh_dir) in
+  ignore (Serve.publish fresh model);
+  let expected = classify_ok fresh ~db_key:"k" ~db:eval_db abc in
+  check bool_c "labels equal a fresh Serve.t" true
+    (again.Serve.sv_results = expected.Serve.sv_results);
+  check bool_c "labels equal Model_io.apply" true (labels_match model eval_db again);
+  rm_rf dir;
+  rm_rf fresh_dir
+
+(* A walk that runs out of key fuel is memoized as dense and rendered
+   as a database-identity key of the request's [db_key]. *)
+let test_memo_dense_fallback () =
+  let dir = tmp_dir "memo-dense" in
+  rm_rf dir;
+  let sv =
+    Serve.create
+      ~config:{ serve_cfg with Serve.key_fuel = 1 }
+      (Model_store.open_ ~dir)
+  in
+  ignore (Serve.publish sv m_pos);
+  let first = classify_ok sv ~db_key:"k" ~db:eval_db abc in
+  check int_c "first call is cold" 3 first.Serve.sv_cold;
+  check bool_c "first call labels" true (labels_match m_pos eval_db first);
+  let second = classify_ok sv ~db_key:"k" ~db:eval_db abc in
+  check int_c "second call is all hits" 3 second.Serve.sv_hits;
+  check bool_c "second call labels" true (labels_match m_pos eval_db second);
+  (* identity keys are not shared across databases, unlike balls *)
+  let renamed = Db.map_elems (fun e -> Elem.sym ("r_" ^ Elem.to_string e)) eval_db in
+  let other =
+    classify_ok sv ~db_key:"other" ~db:renamed
+      (List.map (fun e -> Elem.sym ("r_" ^ Elem.to_string e)) abc)
+  in
+  check int_c "fallback keys miss on a renamed copy" 3 other.Serve.sv_cold;
+  check string_c "renamed copy verdicts" "+-+" (signs other);
+  rm_rf dir
+
+(* [reset_caches] empties the memo; classification stays correct and
+   every registered invariant holds, also after naming an element
+   outside the database, which the memo must not retain. *)
+let test_memo_reset () =
+  let dir = tmp_dir "memo-reset" in
+  rm_rf dir;
+  let sv = Serve.create ~config:serve_cfg (Model_store.open_ ~dir) in
+  ignore (Serve.publish sv m_pos);
+  ignore (classify_ok sv ~db_key:"k" ~db:eval_db abc);
+  Runtime_state.reset_caches ();
+  let s = classify_ok sv ~db_key:"k" ~db:eval_db abc in
+  check int_c "verdict cache was reset too" 3 s.Serve.sv_cold;
+  check bool_c "labels after reset" true (labels_match m_pos eval_db s);
+  let ghosts = List.init 5 (fun i -> sym (Printf.sprintf "ghost%d" i)) in
+  let g = classify_ok sv ~db_key:"k" ~db:eval_db (abc @ ghosts) in
+  check string_c "ghost verdicts" "+-+-----" (signs g);
+  check (Alcotest.list string_c) "validate_all" [] (Runtime_state.validate_all ());
+  rm_rf dir
+
+(* The cache registry holds caches weakly: a dropped cache is
+   collected. *)
+let[@inline never] make_and_drop w =
+  Weak.set w 0 (Some (Eval_cache.create ~capacity:4))
+
+let test_eval_cache_collectable () =
+  let w = Weak.create 1 in
+  make_and_drop w;
+  Gc.full_major ();
+  check bool_c "dropped cache collected" false (Weak.check w 0);
+  check (Alcotest.list string_c) "validate_all" [] (Runtime_state.validate_all ())
 
 (* --- Serve: admission ladder and breaker -------------------------------- *)
 
@@ -912,6 +1128,7 @@ let () =
             test_neighborhood_radius;
           Alcotest.test_case "key invariance" `Quick
             test_neighborhood_key_invariance;
+          qcheck prop_key_matches_reference;
         ] );
       ( "model_store",
         [
@@ -935,6 +1152,17 @@ let () =
             test_serve_mixed_batch_order;
           Alcotest.test_case "cold batch exhausts fuel" `Quick
             test_serve_cold_batch_exhausts;
+          Alcotest.test_case "eval cache collectable" `Quick
+            test_eval_cache_collectable;
+        ] );
+      ( "key_memo",
+        [
+          Alcotest.test_case "same db_key, different contents" `Quick
+            test_memo_same_db_key;
+          Alcotest.test_case "survives publish" `Quick
+            test_memo_survives_publish;
+          Alcotest.test_case "dense fallback" `Quick test_memo_dense_fallback;
+          Alcotest.test_case "reset" `Quick test_memo_reset;
         ] );
       ( "crash",
         [
