@@ -9,25 +9,51 @@ let hom_preorder db entities =
       m.(i).(j) <- v
     end
   in
+  (* [i → j] holds: record it with the arcs it forces by transitivity *)
+  let holds i j =
+    if not known.(i).(j) then begin
+      set i j true;
+      for l = 0 to n - 1 do
+        Budget.tick ~what:"cq sep: hom preorder closure" ();
+        if known.(j).(l) && m.(j).(l) then set i l true;
+        if known.(l).(i) && m.(l).(i) then set l j true
+      done
+    end
+  in
+  let index =
+    Array.fold_left
+      (fun (acc, j) e ->
+        let js = Option.value ~default:[] (Elem.Map.find_opt e acc) in
+        (Elem.Map.add e (j :: js) acc, j + 1))
+      (Elem.Map.empty, 0) ents
+    |> fst
+  in
   (* The homomorphism preorder is reflexive and transitive; settle
      forced arcs before running searches, as in Cover_game.preorder. *)
   (* cqlint: allow R1 — reflexive pass bounded by the entity count *)
   for i = 0 to n - 1 do
     set i i true
   done;
+  (* Every search runs on one context over (db, db). A homomorphism [h]
+     found for [i → j] also witnesses [e → h(e)] for every entity [e],
+     so each one found settles a whole row of arcs. *)
+  let ctx = Hom.context ~src:db ~dst:db in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       Budget.tick ~what:"cq sep: hom preorder" ();
-      if not known.(i).(j) then begin
-        let v = Hom.pointed db [ ents.(i) ] db [ ents.(j) ] in
-        set i j v;
-        if v then
-          for l = 0 to n - 1 do
-            Budget.tick ~what:"cq sep: hom preorder closure" ();
-            if known.(j).(l) && m.(j).(l) then set i l true;
-            if known.(l).(i) && m.(l).(i) then set l j true
-          done
-      end
+      if not known.(i).(j) then
+        match Hom.find_ctx ctx ~fix:[ (ents.(i), ents.(j)) ] with
+        | None -> set i j false
+        | Some h ->
+            holds i j;
+            Array.iteri
+              (fun i' e ->
+                match Elem.Map.find_opt e h with
+                | Some b ->
+                    List.iter (holds i')
+                      (Option.value ~default:[] (Elem.Map.find_opt b index))
+                | None -> ())
+              ents
     done
   done;
   m

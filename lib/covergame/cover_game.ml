@@ -48,91 +48,136 @@ let covered_sets ~k d =
 
 let covered_subsets ~k d = fst (covered_sets ~k d)
 
-(* Partial homomorphisms with domain exactly [x] (a k-covered set),
-   forced on pinned elements, respecting the facts of [d] lying inside
-   x ∪ pinned. *)
-let positions_of_set ~d ~d' ~pin x =
-  let pin_dom =
-    Elem.Map.fold (fun a _ acc -> Elem.Set.add a acc) pin Elem.Set.empty
+(* Partial homomorphisms with domain exactly [x] (a k-covered set): the
+   maps under which every fact of [d] inside [x] lands in [d']. Elements
+   are assigned in increasing order and each fact is checked once, by
+   its greatest element, which completes it. An element that completes
+   a fact takes its candidates from the facts of [d'] that match the
+   first such fact on the elements assigned so far (the facts through
+   the image of an assigned argument, or all facts of the relation);
+   only an element completing no fact ranges over all of [dom d']. *)
+let positions_of_set ~d ~d' x =
+  let completed_by e =
+    let completes f =
+      Array.for_all
+        (fun a -> Elem.Set.mem a x && Elem.compare a e <= 0)
+        (Fact.args f)
+    in
+    let linked f =
+      Array.exists (fun a -> not (Elem.equal a e)) (Fact.args f)
+    in
+    (* facts linking [e] to assigned elements narrow best, so go first *)
+    let linked, alone =
+      List.partition linked (List.filter completes (Db.facts_with_elem e d))
+    in
+    linked @ alone
   in
-  let scope = Elem.Set.union x pin_dom in
-  let facts_in =
-    List.filter
-      (fun f -> Elem.Set.subset (Fact.elems f) scope)
-      (List.concat_map
-         (fun e -> Db.facts_with_elem e d)
-         (Elem.Set.elements scope))
-  in
-  let facts_in = List.sort_uniq Fact.compare facts_in in
   let dom_d' = Elem.Set.elements (Db.domain d') in
-  let elems = Elem.Set.elements x in
-  let check asg =
-    (* Facts whose elements are all assigned must map into d'. *)
-    List.for_all
-      (fun f ->
-        let ok = ref true in
-        let mapped =
-          Array.map
-            (fun a ->
-              match Elem.Map.find_opt a asg with
-              | Some v -> v
-              | None ->
-                  ok := false;
-                  a)
-            (Fact.args f)
-        in
-        (not !ok) || Db.mem (Fact.make (Fact.rel f) mapped) d')
-      facts_in
+  let maps asg f =
+    Db.mem
+      (Fact.make (Fact.rel f)
+         (Array.map (fun a -> Elem.Map.find a asg) (Fact.args f)))
+      d'
+  in
+  (* the values of [e] under which [f] maps onto a fact of [d'] *)
+  let candidates asg e f =
+    let args = Fact.args f in
+    let pool =
+      match Array.find_opt (fun a -> not (Elem.equal a e)) args with
+      | Some a -> Db.facts_with_elem (Elem.Map.find a asg) d'
+      | None -> Db.facts_of_rel (Fact.rel f) d'
+    in
+    let value_in g =
+      let img = Fact.args g in
+      let v = ref None in
+      let ok =
+        ref
+          (String.equal (Fact.rel g) (Fact.rel f)
+          && Array.length img = Array.length args)
+      in
+      if !ok then
+        Array.iteri
+          (fun i a ->
+            if not (Elem.equal a e) then
+              ok := !ok && Elem.equal (Elem.Map.find a asg) img.(i)
+            else
+              match !v with
+              | None -> v := Some img.(i)
+              | Some w -> ok := !ok && Elem.equal w img.(i))
+          args;
+      if !ok then !v else None
+    in
+    List.filter_map value_in pool
   in
   let results = ref [] in
   let rec assign todo asg =
     Budget.tick ~what:"cover game: positions" ();
     match todo with
     | [] -> results := asg :: !results
-    | e :: rest -> begin
-        match Elem.Map.find_opt e pin with
-        | Some v ->
-            let asg' = Elem.Map.add e v asg in
-            if check asg' then assign rest asg'
-        | None ->
-            List.iter
-              (fun v ->
-                let asg' = Elem.Map.add e v asg in
-                if check asg' then assign rest asg')
-              dom_d'
-      end
+    | (e, []) :: rest ->
+        List.iter (fun v -> assign rest (Elem.Map.add e v asg)) dom_d'
+    | (e, f :: fs) :: rest ->
+        List.iter
+          (fun v ->
+            let asg = Elem.Map.add e v asg in
+            if List.for_all (maps asg) fs then assign rest asg)
+          (candidates asg e f)
   in
-  let seed = pin in
-  if check seed then assign elems seed;
-  (* Strip the pinned-but-not-pebbled entries so that the stored
-     assignment has domain exactly x. *)
-  List.map
-    (fun asg -> Elem.Map.filter (fun a _ -> Elem.Set.mem a x) asg)
-    !results
-
-(* The [check] above re-verifies all facts at every step; acceptable
-   for the small scopes of covered sets (≤ k·arity + |pin| elements). *)
+  assign
+    (List.map (fun e -> (e, completed_by e)) (Elem.Set.elements x))
+    Elem.Map.empty;
+  !results
 
 (* Shared context: everything about the game between d and d' that
-   does not depend on the pinned tuple — the covered sets, the full
-   unpinned position lattice and its parent/child links. A pinned
-   query then only filters the initially-alive positions and reruns
-   the kill propagation, which makes the n^2 games of [preorder] and
-   the per-entity games of Algorithm 1 dramatically cheaper.
+   does not depend on the pinned tuple — the full unpinned position
+   lattice and its parent/child links, and the unpinned greatest
+   fixpoint. A pin only removes Duplicator options,
+   so every position that survives a pinned game survives the unpinned
+   one: pinned queries start from the unpinned survivors.
 
    The links are stored flat. Every (position, legal pebble addition
    to its set) pair owns an integer slot: the slots of position p are
-   [slot_off.(p) .. slot_off.(p+1) - 1]. A pinned query keeps one
+   [slot_off.(p) .. slot_off.(p+1) - 1]. A fixpoint run keeps one
    surviving-extension counter per slot in an [int array]. Children
    and parent slots are in compressed rows: the children of p are
    [child_ids.(child_off.(p) .. child_off.(p+1) - 1)], and likewise
-   the parent slots p extends are read through [par_off]/[par_slots]. *)
+   the parent slots p extends are read through [par_off]/[par_slots].
+
+   A pinned query keeps the survivors that agree with the pin on the
+   pinned elements they pebble. It need not check the facts of [d]
+   through a pinned element that leave a position's set: when such a
+   fact f does not map under (position ∪ pin), Spoiler restricts the
+   position to the pebbles on f and pebbles the pinned elements of f
+   one by one (every subset of f is covered by f itself). Each answer
+   must agree with the pin, and the last one, on all of f, would map
+   f. So the fixpoint kills the position anyway.
+
+   Pinned queries are indexed by their pin domain P, the set of pinned
+   elements. A survivor whose covered set avoids P is independent of
+   the pin; the others are dependent. Restrictions of an independent
+   position are independent, and extensions of a dependent one are
+   dependent. *)
+
+module Image_map = Map.Make (struct
+  type t = Elem.t * Elem.t
+
+  let compare (a, v) (b, w) =
+    match Elem.compare a b with 0 -> Elem.compare v w | c -> c
+end)
+
+type pin_index = {
+  base_alive : Bytes.t;  (* the independent survivors *)
+  base_count : int array;  (* per slot: independent survivors filling it *)
+  watch : int list;  (* independent survivors with a slot none of them fills *)
+  by_image : int list Image_map.t;
+      (* the dependent survivors, by the least pinned element they
+         pebble and its image *)
+}
+
+module Dom_map = Map.Make (Elem.Set)
 
 type context = {
-  d : Db.t;
-  d' : Db.t;
-  set_arr : Elem.Set.t array;
-  pos_set : int array;  (* per position: its covered-set index *)
+  dom_d : Elem.Set.t;  (* pins outside it constrain nothing *)
   pos_asg : Elem.t Elem.Map.t array;  (* per position: the mapping *)
   slot_off : int array;  (* per position: first slot; length n + 1 *)
   slot_pos : int array;  (* per slot: the position owning it *)
@@ -141,7 +186,15 @@ type context = {
   par_off : int array;
   par_slots : int array;  (* per position: the parent slots it fills *)
   empty_pos : int option;  (* id of the empty position *)
+  survivors : Bytes.t;  (* the unpinned greatest fixpoint *)
+  mutable indexes : pin_index Dom_map.t;  (* one per pin domain queried *)
+  alive : Bytes.t;  (* scratch state of a pinned run, overwritten by each *)
+  count : int array;
 }
+
+let live = '\001'
+let dead = '\000'
+let is_live alive id = Bytes.get alive id = live
 
 (* Compressed rows of per-row lists: offsets (length rows + 1) and the
    concatenated entries. *)
@@ -151,6 +204,62 @@ let compress rows =
   let flat = Array.make off.(Array.length rows) 0 in
   Array.iteri (fun i l -> List.iteri (fun j v -> flat.(off.(i) + j) <- v) l) rows;
   (off, flat)
+
+(* Per slot, the number of [alive] positions filling it. *)
+let slot_counts ctx alive =
+  let count = Array.make (Array.length ctx.slot_pos) 0 in
+  for id = 0 to Array.length ctx.pos_asg - 1 do
+    Budget.tick ~what:"cover game: extension counts" ();
+    if is_live alive id then
+      (* cqlint: allow R1 — bounded by the position's parent links *)
+      for i = ctx.par_off.(id) to ctx.par_off.(id + 1) - 1 do
+        let s = ctx.par_slots.(i) in
+        count.(s) <- count.(s) + 1
+      done
+  done;
+  count
+
+let has_empty_slot ctx count id =
+  let empty = ref false in
+  (* cqlint: allow R1 — bounded by the position's extension slots *)
+  for s = ctx.slot_off.(id) to ctx.slot_off.(id + 1) - 1 do
+    if count.(s) = 0 then empty := true
+  done;
+  !empty
+
+(* The greatest fixpoint below [alive], in place: kill every position
+   that lost all answers to some pebble addition (forth) or lost a
+   restriction, until none does. On entry [alive] is closed under
+   restrictions, [count.(s)] is the number of alive positions filling
+   slot [s], and every alive position with an empty slot is among
+   [suspects]; [count] is kept exact for alive owners. *)
+let fixpoint ctx alive count suspects =
+  let queue = Queue.create () in
+  let kill id =
+    if is_live alive id then begin
+      Bytes.set alive id dead;
+      Queue.add id queue
+    end
+  in
+  List.iter
+    (fun id ->
+      Budget.tick ~what:"cover game: fixpoint" ();
+      if has_empty_slot ctx count id then kill id)
+    suspects;
+  while not (Queue.is_empty queue) do
+    Budget.tick ~what:"cover game: fixpoint" ();
+    let id = Queue.pop queue in
+    (* cqlint: allow R1 — bounded by the position's child links *)
+    for i = ctx.child_off.(id) to ctx.child_off.(id + 1) - 1 do
+      kill ctx.child_ids.(i)
+    done;
+    (* cqlint: allow R1 — bounded by the position's parent links *)
+    for i = ctx.par_off.(id) to ctx.par_off.(id + 1) - 1 do
+      let s = ctx.par_slots.(i) in
+      count.(s) <- count.(s) - 1;
+      if count.(s) = 0 then kill ctx.slot_pos.(s)
+    done
+  done
 
 let make_context ~k d d' =
   if k < 1 then invalid_arg "Cover_game.make_context: k must be >= 1";
@@ -178,7 +287,7 @@ let make_context ~k d d' =
   let npos = ref 0 in
   for si = 0 to nsets - 1 do
     let x = set_arr.(si) in
-    let homs = positions_of_set ~d ~d' ~pin:Elem.Map.empty x in
+    let homs = positions_of_set ~d ~d' x in
     List.iter
       (fun asg ->
         let key = (si, Elem.Map.bindings asg) in
@@ -230,37 +339,60 @@ let make_context ~k d d' =
     | None -> None
     | Some esi -> Hashtbl.find_opt pos_tbl (esi, [])
   in
-  { d; d'; set_arr; pos_set; pos_asg; slot_off; slot_pos; child_off;
-    child_ids; par_off; par_slots; empty_pos }
-
-(* Does the image of fact [f] of [d] under (pin ∪ asg) lie in [d']?
-   Every element of [f] must be pinned or assigned. *)
-let maps_into ctx ~pin asg f =
-  let image a =
-    match Elem.Map.find_opt a pin with
-    | Some v -> v
-    | None -> Elem.Map.find a asg
+  let ctx =
+    { dom_d = Db.domain d; pos_asg; slot_off; slot_pos; child_off;
+      child_ids; par_off; par_slots; empty_pos;
+      survivors = Bytes.make n live; indexes = Dom_map.empty;
+      alive = Bytes.create n; count = Array.make slot_off.(n) 0 }
   in
-  Db.mem (Fact.make (Fact.rel f) (Array.map image (Fact.args f))) ctx.d'
+  fixpoint ctx ctx.survivors (slot_counts ctx ctx.survivors)
+    (List.init n Fun.id);
+  ctx
 
-(* Is a stored unpinned position compatible with the pin: pinned
-   elements it pebbles must carry the pinned values, and the facts of
-   [d] inside (its set ∪ pinned elements) that touch a pinned element
-   must map into [d'] under (assignment ∪ pin). [set_check] gives, per
-   covered set, whether it pebbles a pinned element and those facts
-   that also touch an unpinned one; facts on pinned elements alone are
-   the same for every position and checked once by the caller. *)
-let pin_compatible ctx ~pin ~set_check id =
-  let asg = ctx.pos_asg.(id) in
-  let pebbles_pin, facts = set_check ctx.pos_set.(id) in
-  ((not pebbles_pin)
-  || Elem.Map.for_all
-       (fun a b ->
-         match Elem.Map.find_opt a asg with
-         | Some v -> Elem.equal v b
-         | None -> true)
-       pin)
-  && List.for_all (maps_into ctx ~pin asg) facts
+(* The index of pin domain [dom]: split the survivors into independent
+   and dependent ones, and count the slots the independent ones fill. *)
+let build_index ctx dom =
+  let base_alive = Bytes.copy ctx.survivors in
+  let by_image = ref Image_map.empty in
+  for id = Array.length ctx.pos_asg - 1 downto 0 do
+    Budget.tick ~what:"cover game: pin index" ();
+    let asg = ctx.pos_asg.(id) in
+    let least =
+      Elem.Set.fold
+        (fun a least ->
+          match least with
+          | None when Elem.Map.mem a asg -> Some a
+          | _ -> least)
+        dom None
+    in
+    match least with
+    | Some a when is_live ctx.survivors id ->
+        Bytes.set base_alive id dead;
+        let key = (a, Elem.Map.find a asg) in
+        let ids =
+          Option.value ~default:[] (Image_map.find_opt key !by_image)
+        in
+        by_image := Image_map.add key (id :: ids) !by_image
+    | _ -> ()
+  done;
+  let base_count = slot_counts ctx base_alive in
+  let watch = ref [] in
+  for id = Array.length ctx.pos_asg - 1 downto 0 do
+    Budget.tick ~what:"cover game: pin index" ();
+    if is_live base_alive id && has_empty_slot ctx base_count id then
+      watch := id :: !watch
+  done;
+  { base_alive; base_count; watch = !watch; by_image = !by_image }
+
+(* The index is stored only once it is complete, so a budget abort
+   while building it leaves the context as it was. *)
+let index_for ctx dom =
+  match Dom_map.find_opt dom ctx.indexes with
+  | Some idx -> idx
+  | None ->
+      let idx = build_index ctx dom in
+      ctx.indexes <- Dom_map.add dom idx ctx.indexes;
+      idx
 
 let holds_ctx ctx ~pin:pin_list =
   (* A pin mapping one element to two targets is not a function. *)
@@ -275,104 +407,50 @@ let holds_ctx ctx ~pin:pin_list =
         | _ -> Elem.Map.add a b acc)
       Elem.Map.empty pin_list
   in
-  if not !consistent then false
-  else begin
-    let pin = Elem.Map.filter (fun a _ -> Elem.Set.mem a (Db.domain ctx.d)) pin in
-    let pin_dom =
-      Elem.Map.fold (fun a _ acc -> Elem.Set.add a acc) pin Elem.Set.empty
-    in
-    (* facts of d touching a pinned element *)
-    let pinned_only, mixed_pool =
-      List.sort_uniq Fact.compare
-        (Elem.Map.fold
-           (fun a _ acc -> Db.facts_with_elem a ctx.d @ acc)
-           pin [])
-      |> List.partition (fun f -> Elem.Set.subset (Fact.elems f) pin_dom)
-    in
-    let set_checks = Array.make (Array.length ctx.set_arr) None in
-    let set_check si =
-      match set_checks.(si) with
-      | Some c -> c
-      | None ->
-          let x = ctx.set_arr.(si) in
-          let scope = Elem.Set.union x pin_dom in
-          let c =
-            ( not (Elem.Set.disjoint x pin_dom),
-              List.filter
-                (fun f -> Elem.Set.subset (Fact.elems f) scope)
-                mixed_pool )
-          in
-          set_checks.(si) <- Some c;
-          c
-    in
-    let n = Array.length ctx.pos_set in
-    (* a pin whose own facts do not map kills every position *)
-    if n = 0 || not (List.for_all (maps_into ctx ~pin Elem.Map.empty) pinned_only)
-    then false
-    else begin
-      let alive = Array.make n false in
-      for id = 0 to n - 1 do
-        Budget.tick ~what:"cover game: pin filter" ();
-        alive.(id) <- pin_compatible ctx ~pin ~set_check id
-      done;
-      (* surviving-extension counts per slot *)
-      let count = Array.make (Array.length ctx.slot_pos) 0 in
-      for id = 0 to n - 1 do
-        Budget.tick ~what:"cover game: extension counts" ();
-        if alive.(id) then
-          (* cqlint: allow R1 — bounded by the position's parent links *)
-          for i = ctx.par_off.(id) to ctx.par_off.(id + 1) - 1 do
-            let s = ctx.par_slots.(i) in
-            count.(s) <- count.(s) + 1
-          done
-      done;
-      let queue = Queue.create () in
-      let kill id =
-        if alive.(id) then begin
-          alive.(id) <- false;
-          Queue.add id queue
-        end
+  match ctx.empty_pos with
+  | Some root when !consistent && is_live ctx.survivors root ->
+      let pin =
+        Elem.Map.filter (fun a _ -> Elem.Set.mem a ctx.dom_d) pin
       in
-      let kill_children id =
-        (* cqlint: allow R1 — bounded by the position's child links *)
-        for i = ctx.child_off.(id) to ctx.child_off.(id + 1) - 1 do
-          kill ctx.child_ids.(i)
-        done
+      let idx =
+        index_for ctx
+          (Elem.Map.fold (fun a _ s -> Elem.Set.add a s) pin Elem.Set.empty)
       in
-      (* initial forth failures *)
-      for id = 0 to n - 1 do
-        Budget.tick ~what:"cover game: forth check" ();
-        if alive.(id) then
-          (* cqlint: allow R1 — bounded by the position's extension slots *)
-          for s = ctx.slot_off.(id) to ctx.slot_off.(id + 1) - 1 do
-            if count.(s) = 0 then kill id
-          done
-      done;
-      (* also: dead-by-pin positions must still drag down their
-         parents' counts — handled above since counts only include
-         alive children — and their restriction-closure effect: a dead
-         position's children must die. Enqueue dead ones' children. *)
-      for id = 0 to n - 1 do
-        Budget.tick ~what:"cover game: kill propagation" ();
-        if not alive.(id) then kill_children id
-      done;
-      while not (Queue.is_empty queue) do
-        Budget.tick ~what:"cover game: kill propagation" ();
-        let id = Queue.pop queue in
-        kill_children id;
+      (* seed from the independent survivors, then add the dependent
+         ones that agree with the pin *)
+      let alive = ctx.alive and count = ctx.count in
+      Bytes.blit idx.base_alive 0 alive 0 (Bytes.length alive);
+      Array.blit idx.base_count 0 count 0 (Array.length count);
+      let suspects = ref idx.watch in
+      let add id =
+        Bytes.set alive id live;
+        suspects := id :: !suspects;
         (* cqlint: allow R1 — bounded by the position's parent links *)
-        for i = ctx.par_off.(id) to ctx.par_off.(id + 1) - 1 do
-          let s = ctx.par_slots.(i) in
-          let pid = ctx.slot_pos.(s) in
-          if alive.(pid) then begin
-            count.(s) <- count.(s) - 1;
-            if count.(s) <= 0 then kill pid
-          end
+        for j = ctx.par_off.(id) to ctx.par_off.(id + 1) - 1 do
+          let s = ctx.par_slots.(j) in
+          count.(s) <- count.(s) + 1
         done
-      done;
-      match ctx.empty_pos with Some id -> alive.(id) | None -> false
-    end
-  end
+      in
+      let agrees id =
+        Elem.Map.for_all
+          (fun b w ->
+            match Elem.Map.find_opt b ctx.pos_asg.(id) with
+            | Some u -> Elem.equal u w
+            | None -> true)
+          pin
+      in
+      Elem.Map.iter
+        (fun a v ->
+          List.iter
+            (fun id ->
+              Budget.tick ~what:"cover game: pin filter" ();
+              if agrees id then add id)
+            (Option.value ~default:[]
+               (Image_map.find_opt (a, v) idx.by_image)))
+        pin;
+      fixpoint ctx alive count !suspects;
+      is_live alive root
+  | _ -> false
 
 let holds ~k (d, tuple) (d', tuple') =
   if List.length tuple <> List.length tuple' then

@@ -29,20 +29,33 @@ val covered_subsets : k:int -> Db.t -> Elem.Set.t list
 
 type context
 (** Precomputed game structure between a fixed pair of databases: the
-    covered sets and the unpinned position lattice, with its links
-    indexed by integer slots. Lets many pinned queries share the
-    expensive enumeration: the n² of {!preorder}, one per
-    (representative, evaluation entity) in Algorithm 1, one per
-    negative example in GHW(k)-QBE. A context is immutable; pinned
-    queries on it are independent of each other and of their order. *)
+    unpinned position lattice with its links indexed by integer slots,
+    and its greatest fixpoint. Lets many
+    pinned queries share the expensive enumeration: the n² of
+    {!preorder}, one per (representative, evaluation entity) in
+    Algorithm 1, one per negative example in GHW(k)-QBE.
+
+    A context also memoizes one index per pin domain (the set of pinned
+    elements of [d]) that a query has used: the unpinned survivors that
+    pebble a pinned element, filed by its image.
+    Algorithm 1 and {!preorder} pin one element, so they build one
+    index per class representative and per entity respectively. An
+    index is stored only once complete, so a query cut short by its
+    budget leaves the context unchanged. A context is observationally
+    immutable: pinned queries on it are independent of each other and
+    of their order. Queries on one context must not run concurrently. *)
 
 (** [make_context ~k d d'] precomputes the game between [d] and [d'].
     @raise Invalid_argument if [k < 1]. *)
 val make_context : k:int -> Db.t -> Db.t -> context
 
 (** [holds_ctx ctx ~pin] decides [(d, ā) →_k (d', b̄)] for the pinned
-    pairs [pin = List.combine ā b̄] over a precomputed context. Its
-    cost is linear in the size of the position lattice. *)
+    pairs [pin = List.combine ā b̄] over a precomputed context. The
+    first query on a pin domain builds its index, linear in the size
+    of the position lattice. After that a query copies two flat arrays
+    (one byte per position, one int per slot) and otherwise costs what
+    the pin touches: the positions that pebble a pinned element with
+    its pinned value, and the kill propagation those positions start. *)
 val holds_ctx : context -> pin:(Elem.t * Elem.t) list -> bool
 
 (** [holds ~k (d, as_) (d', bs)] decides [(d, ā) →_k (d', b̄)]. It

@@ -41,3 +41,23 @@ val is_hom : mapping -> src:Db.t -> dst:Db.t -> bool
 
 (** [count ?fix ~src ~dst ()] counts all homomorphisms (for tests). *)
 val count : ?fix:(Elem.t * Elem.t) list -> src:Db.t -> dst:Db.t -> unit -> int
+
+(** A precomputed search between two fixed databases, for callers that
+    ask many pinned questions of one pair, such as the homomorphism
+    preorder of a database. Immutable once built. *)
+type context
+
+(** [context ~src ~dst] numbers both domains, turns every fact of [src]
+    into a constraint whose allowed tuples are the facts of [dst] with
+    its relation, and makes the unpinned domains arc consistent. *)
+val context : src:Db.t -> dst:Db.t -> context
+
+(** [find_ctx ctx ~fix] is a homomorphism from [src] to [dst] extending
+    [fix], if one exists: [find_ctx ctx ~fix <> None] iff
+    [exists ~fix ~src ~dst ()], and [fix] is treated as by {!find}. The
+    mapping found may differ from {!find}'s. A query restricts the
+    pinned domains of the context's arc-consistent store, restores arc
+    consistency from the pinned elements' facts, and searches with
+    propagation after every assignment, branching on a smallest
+    domain. *)
+val find_ctx : context -> fix:(Elem.t * Elem.t) list -> mapping option

@@ -159,6 +159,124 @@ let prop_shared_context_matches_fresh =
           = Cover_game.holds1 ~k:1 (d, a) (d', b))
         pairs)
 
+(* --- pinned queries against the filter-everything reference ----------- *)
+
+(* A database over a unary U, a binary E and a ternary T, with only
+   some elements entities. Facts are (relation, argument indices). *)
+type game_spec = {
+  gnodes : int;
+  gfacts : (string * int list) list;
+  ents : int list;
+}
+
+let game_db s =
+  List.fold_left
+    (fun db i -> Db.add_entity (e i) db)
+    (Db.of_list (List.map (fun (r, args) -> (r, List.map e args)) s.gfacts))
+    s.ents
+
+let game_spec_gen ~max_facts =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun gnodes ->
+  let node = int_range 0 (gnodes - 1) in
+  let fact =
+    oneofl [ ("U", 1); ("E", 2); ("T", 3) ] >>= fun (r, arity) ->
+    list_repeat arity node >>= fun args -> return (r, args)
+  in
+  list_size (int_range 1 max_facts) fact >>= fun gfacts ->
+  list_size (int_range 0 gnodes) node >>= fun ents ->
+  return { gnodes; gfacts; ents }
+
+let game_spec_print s =
+  Printf.sprintf "{nodes=%d; facts=[%s]; ents=[%s]}" s.gnodes
+    (String.concat ";"
+       (List.map
+          (fun (r, args) ->
+            Printf.sprintf "%s(%s)" r
+              (String.concat "," (List.map string_of_int args)))
+          s.gfacts))
+    (String.concat ";" (List.map string_of_int s.ents))
+
+(* A query instance: k, d, d' (None: d' is d itself) and a list of pins
+   of zero to two pairs, in random order. Pinned elements range over
+   e0..e4 and "z", so some are non-entities or outside dom d; drawing
+   two pairs on one element gives inconsistent pins. *)
+type game_case = {
+  k : int;
+  src : game_spec;
+  dst : game_spec option;
+  pins : (int * int) list list;
+}
+
+let pin_elem i = if i = 5 then sym "z" else e i
+
+let game_case_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 2 >>= fun k ->
+    let max_facts = if k = 1 then 5 else 3 in
+    game_spec_gen ~max_facts >>= fun src ->
+    opt (game_spec_gen ~max_facts) >>= fun dst ->
+    let pair = pair (int_range 0 5) (int_range 0 5) in
+    list_size (int_range 1 12) (list_size (int_range 0 2) pair) >>= fun pins ->
+    return { k; src; dst; pins }
+  in
+  let print c =
+    Printf.sprintf "k=%d d=%s d'=%s pins=[%s]" c.k (game_spec_print c.src)
+      (match c.dst with None -> "d" | Some s -> game_spec_print s)
+      (String.concat "; "
+         (List.map
+            (fun p ->
+              String.concat ","
+                (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) p))
+            c.pins))
+  in
+  QCheck.make ~print gen
+
+let case_dbs c =
+  let d = game_db c.src in
+  (d, match c.dst with None -> d | Some s -> game_db s)
+
+let case_pins c =
+  List.map (List.map (fun (a, b) -> (pin_elem a, pin_elem b))) c.pins
+
+(* The seeded, indexed [holds_ctx] answers every pin as the reference
+   does, with the queries asked in random order on one shared context
+   and then asked again in reverse order, when every pin domain's index
+   is already built. *)
+let prop_holds_ctx_matches_reference =
+  QCheck.Test.make ~name:"holds_ctx = filter-everything reference" ~count:150
+    game_case_arb
+    (fun c ->
+      let d, d' = case_dbs c in
+      let ctx = Cover_game.make_context ~k:c.k d d' in
+      let rctx = Cover_game_ref.make_context ~k:c.k d d' in
+      let pins = case_pins c in
+      let expected =
+        List.map (fun pin -> Cover_game_ref.holds_ctx rctx ~pin) pins
+      in
+      List.map (fun pin -> Cover_game.holds_ctx ctx ~pin) pins = expected
+      && List.rev_map (fun pin -> Cover_game.holds_ctx ctx ~pin) (List.rev pins)
+         = expected)
+
+(* A pin only removes Duplicator options: adding a pinned pair never
+   turns a lost game into a won one. *)
+let prop_pin_monotone =
+  QCheck.Test.make ~name:"adding a pin never turns false into true" ~count:150
+    game_case_arb
+    (fun c ->
+      let d, d' = case_dbs c in
+      let ctx = Cover_game.make_context ~k:c.k d d' in
+      let unpinned = Cover_game.holds_ctx ctx ~pin:[] in
+      List.for_all
+        (fun pin ->
+          match pin with
+          | [] -> true
+          | _ :: rest ->
+              (not (Cover_game.holds_ctx ctx ~pin))
+              || (Cover_game.holds_ctx ctx ~pin:rest && unpinned))
+        (case_pins c))
+
 (* Prop 5.2 (one direction made effective): for a query of ghw <= k,
    membership via homomorphism equals membership via the game on the
    canonical database. *)
@@ -272,6 +390,8 @@ let () =
           qcheck prop_game_reflexive_transitive;
           qcheck prop_preorder_matches_holds1;
           qcheck prop_shared_context_matches_fresh;
+          qcheck prop_holds_ctx_matches_reference;
+          qcheck prop_pin_monotone;
           qcheck prop_52_eval_equals_game;
           qcheck prop_pruning_preserves_preorder;
         ] );

@@ -129,6 +129,67 @@ let prop_naive_equals_smart =
       let a = db_of_spec sa and b = db_of_spec sb in
       Hom.exists ~src:a ~dst:b () = Hom.exists ~naive:true ~src:a ~dst:b ())
 
+(* A spec's database plus a ternary relation read off consecutive
+   edges, which repeats an element whenever a path closes on itself. *)
+let db_with_ternary spec =
+  let rec tern db = function
+    | (a, b) :: ((_, c) :: _ as rest) ->
+        tern (Db.add (Fact.make_l "T" [ e a; e b; e c ]) db) rest
+    | _ -> db
+  in
+  tern (db_of_spec spec) spec.edges
+
+(* Pins over e0..e5: some outside either domain, some conflicting. *)
+let pins_arb =
+  QCheck.list_of_size (QCheck.Gen.int_range 0 3)
+    (QCheck.list_of_size (QCheck.Gen.int_range 0 2)
+       (QCheck.pair (QCheck.int_range 0 5) (QCheck.int_range 0 5)))
+
+(* One context per pair of databases answers every pinned question as
+   [find] does, and a mapping it returns is a homomorphism extending
+   the pins. Both directions and [src == dst] share the check. *)
+let prop_find_ctx_equals_find =
+  QCheck.Test.make ~name:"find_ctx = find on one shared context" ~count:200
+    (QCheck.triple (spec_arb ~max_nodes:5 ~max_edges:7)
+       (spec_arb ~max_nodes:5 ~max_edges:7) pins_arb)
+    (fun (sa, sb, pins) ->
+      let a = db_with_ternary sa and b = db_with_ternary sb in
+      let agrees src dst =
+        let ctx = Hom.context ~src ~dst in
+        List.for_all
+          (fun pin ->
+            let fix = List.map (fun (x, y) -> (e x, e y)) pin in
+            let extends h =
+              Hom.is_hom h ~src ~dst
+              && List.for_all
+                   (fun (x, y) ->
+                     (not (Elem.Set.mem x (Db.domain src)))
+                     || Elem.equal (Elem.Map.find x h) y)
+                   fix
+            in
+            match (Hom.find_ctx ctx ~fix, Hom.exists ~fix ~src ~dst ()) with
+            | Some h, true -> extends h
+            | None, false -> true
+            | _ -> false)
+          ([] :: pins)
+      in
+      agrees a b && agrees b a && agrees a a)
+
+let test_find_ctx_edges () =
+  let nullary = Fact.make_l "Z" [] in
+  let a = Db.of_list [ edge "a" "b" ] in
+  let with_z = Db.add nullary a in
+  let ask src dst fix = Hom.find_ctx (Hom.context ~src ~dst) ~fix <> None in
+  check bool_c "nullary fact missing from dst" false (ask with_z a []);
+  check bool_c "nullary fact present in dst" true (ask with_z with_z []);
+  check bool_c "empty source" true (ask Db.empty a [ (sym "a", sym "b") ]);
+  check bool_c "pin outside dom src is ignored" true
+    (ask a a [ (sym "zz", sym "a") ]);
+  check bool_c "pin into an element outside dom dst" false
+    (ask a a [ (sym "a", sym "zz") ]);
+  check bool_c "conflicting pins" false
+    (ask a a [ (sym "a", sym "a"); (sym "a", sym "b") ])
+
 (* --- Product --------------------------------------------------------- *)
 
 let test_product_counts () =
@@ -288,6 +349,8 @@ let () =
           qcheck prop_hom_reflexive;
           qcheck prop_hom_transitive;
           qcheck prop_naive_equals_smart;
+          qcheck prop_find_ctx_equals_find;
+          Alcotest.test_case "find_ctx edge cases" `Quick test_find_ctx_edges;
         ] );
       ( "product",
         [

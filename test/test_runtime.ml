@@ -304,6 +304,31 @@ let prop_preorder_b_structured =
       | Ok m -> m = Cover_game.preorder ~k:1 db ents
       | Error f -> Guard.is_resource_failure f)
 
+(* Algorithm 1 under a random small fuel: either the unbudgeted
+   labeling, or a structured failure. A training database that is not
+   GHW(1)-separable makes [classify] refuse, budgeted or not. *)
+let prop_ghw_classify_b_structured =
+  QCheck.Test.make ~count:40 ~name:"Ghw_sep.classify_b under tiny fuel"
+    (QCheck.triple
+       (labeled_spec_arb ~max_nodes:4 ~max_edges:5)
+       (spec_arb ~max_nodes:4 ~max_edges:5)
+       (QCheck.int_range 1 3000))
+    (fun (ls, es, fuel) ->
+      let t = training_of_labeled ls and eval_db = db_of_spec es in
+      let expected =
+        match Ghw_sep.classify ~k:1 t eval_db with
+        | l -> Some l
+        | exception Invalid_argument _ -> None
+      in
+      match
+        ( expected,
+          Ghw_sep.classify_b ~budget:(Budget.make ~fuel ()) ~k:1 t eval_db )
+      with
+      | Some l, Ok l' -> Labeling.equal l l'
+      | None, Ok _ -> false
+      | Some _, Error f -> Guard.is_resource_failure f
+      | None, Error _ -> true)
+
 (* --- tight fuel interrupts the hot loops ----------------------------- *)
 
 (* Sweep fuel 1..cap: fuel [f] admits [f - 1] ticks and raises at the
@@ -332,6 +357,51 @@ let test_tight_fuel_hom_bfs () =
   in
   check bool_c "the BFS while-loop in Hom.search_order is interruptible" true
     (List.mem "hom: BFS search order" labels)
+
+(* The pinned queries of a preorder build one pin index per entity and
+   run the shared kill fixpoint, unpinned in the context and then once
+   per query: both loops must be interruptible. *)
+let test_tight_fuel_cover_game () =
+  let db =
+    (* a triangle with a tail: enough non-trivial pins to reach a
+       compatible dependent position *)
+    db_of_spec
+      { nodes = 4; edges = [ (0, 1); (1, 2); (2, 0); (2, 3) ]; unary = [] }
+  in
+  let labels =
+    exhaustion_labels (fun () ->
+        ignore (Cover_game.preorder ~k:1 db (Db.entities db)))
+  in
+  List.iter
+    (fun what ->
+      check bool_c (Printf.sprintf "%S is interruptible" what) true
+        (List.mem what labels))
+    [
+      "cover game: pin index";
+      "cover game: pin filter";
+      "cover game: fixpoint";
+    ]
+
+(* The hom preorder runs its searches on one arc-consistent context:
+   the propagation queue and the search must be interruptible. A path
+   with edges both ways leaves a pinned neighbor two values, so the
+   search branches. *)
+let test_tight_fuel_hom_preorder () =
+  let db =
+    db_of_spec
+      { nodes = 4;
+        edges = [ (0, 1); (1, 0); (1, 2); (2, 1); (2, 3); (3, 2) ];
+        unary = [] }
+  in
+  let labels =
+    exhaustion_labels (fun () ->
+        ignore (Cq_sep.hom_preorder db (Db.entities db)))
+  in
+  List.iter
+    (fun what ->
+      check bool_c (Printf.sprintf "%S is interruptible" what) true
+        (List.mem what labels))
+    [ "hom: arc consistency"; "hom: consistent search"; "cq sep: hom preorder" ]
 
 (* A query whose existential variables form a triangle: not α-acyclic,
    few variables, so [Eval_engine.plan] must run the width search and
@@ -465,10 +535,15 @@ let () =
           qcheck prop_separable_b_agrees;
           qcheck prop_simplex_b_structured;
           qcheck prop_preorder_b_structured;
+          qcheck prop_ghw_classify_b_structured;
           Alcotest.test_case "tight fuel: hom BFS" `Quick
             test_tight_fuel_hom_bfs;
           Alcotest.test_case "tight fuel: planning and decomposition" `Quick
             test_tight_fuel_plan_and_decomp;
+          Alcotest.test_case "tight fuel: cover-game index and fixpoint"
+            `Quick test_tight_fuel_cover_game;
+          Alcotest.test_case "tight fuel: arc-consistent hom preorder" `Quick
+            test_tight_fuel_hom_preorder;
         ] );
       ( "ladder",
         [

@@ -149,6 +149,26 @@ let prop_alg1_pruning_exact =
       && agrees (Cq_sep.chain t) Cq_sep.classify
            ~arrow:(fun rep f -> Hom.pointed t.db [ rep ] eval_db [ f ]))
 
+(* The searches of [Cq_sep.hom_preorder] share one context and settle
+   arcs by transitivity and from every homomorphism they find; the
+   matrix must still be exactly the pairwise pointed homomorphisms.
+   The entity list repeats an entity and names one outside the domain
+   (pinning it pins nothing). *)
+let prop_hom_preorder_pairwise =
+  QCheck.Test.make ~name:"hom_preorder = pairwise Hom.pointed" ~count:150
+    (spec_arb ~max_nodes:7 ~max_edges:10)
+    (fun s ->
+      let db = db_of_spec s in
+      let ents = Db.entities db in
+      let ents = ents @ [ sym "outside" ] @ (match ents with e :: _ -> [ e ] | [] -> []) in
+      let m = Cq_sep.hom_preorder db ents in
+      List.for_all2
+        (fun a row ->
+          List.for_all2
+            (fun b v -> v = Hom.pointed db [ a ] db [ b ])
+            ents (Array.to_list row))
+        ents (Array.to_list m))
+
 (* Algorithm 1 vs the materialized statistic: on tiny instances where
    the unraveling stabilizes, the two classifications agree. *)
 let test_alg1_matches_materialized () =
@@ -682,6 +702,7 @@ let () =
           qcheck prop_ghw_implies_cq;
           qcheck prop_alg1_self_classification;
           qcheck prop_alg1_pruning_exact;
+          qcheck prop_hom_preorder_pairwise;
         ] );
       ( "approx (Sec 7)",
         [
