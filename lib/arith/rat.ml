@@ -25,26 +25,71 @@ let den t = t.d
 let neg t = { t with n = Bigint.neg t.n }
 let abs t = { t with n = Bigint.abs t.n }
 
+(* The fast paths below build a record without [make]. Each one states
+   why its result is canonical without a gcd. *)
+
+let is_int t = Bigint.equal t.d Bigint.one
+
+(* gcd (a.n + k·a.d, a.d) = gcd (a.n, a.d) = 1, and the denominator is
+   unchanged, so adding an integer k keeps the form canonical; a zero
+   sum forces a.d = 1, i.e. 0/1. *)
+let add_int a k =
+  if is_int a then of_bigint (Bigint.add a.n k)
+  else { n = Bigint.add a.n (Bigint.mul k a.d); d = a.d }
+
 let add a b =
-  make
-    (Bigint.add (Bigint.mul a.n b.d) (Bigint.mul b.n a.d))
-    (Bigint.mul a.d b.d)
+  if is_int b then add_int a b.n
+  else if is_int a then add_int b a.n
+  else
+    make
+      (Bigint.add (Bigint.mul a.n b.d) (Bigint.mul b.n a.d))
+      (Bigint.mul a.d b.d)
 
 let sub a b = add a (neg b)
-let mul a b = make (Bigint.mul a.n b.n) (Bigint.mul a.d b.d)
+
+(* An integer product has denominator 1 and is canonical as it is. *)
+let mul a b =
+  if is_int a && is_int b then of_bigint (Bigint.mul a.n b.n)
+  else make (Bigint.mul a.n b.n) (Bigint.mul a.d b.d)
+
 let div a b = make (Bigint.mul a.n b.d) (Bigint.mul a.d b.n)
 
+(* Swapping a coprime pair keeps it coprime; only the sign moves. *)
 let inv t =
-  if Bigint.is_zero t.n then raise Division_by_zero;
-  make t.d t.n
+  match Bigint.sign t.n with
+  | 0 -> raise Division_by_zero
+  | s when s > 0 -> { n = t.d; d = t.n }
+  | _ -> { n = Bigint.neg t.d; d = Bigint.neg t.n }
 
 let sign t = Bigint.sign t.n
 let is_zero t = Bigint.is_zero t.n
 
-let compare a b = sign (sub a b)
-let equal a b = compare a b = 0
+(* Denominators are positive, so cross-multiplying preserves order. *)
+let compare a b =
+  let sa = sign a and sb = sign b in
+  if sa <> sb then Int.compare sa sb
+  else if Bigint.equal a.d b.d then Bigint.compare a.n b.n
+  else Bigint.compare (Bigint.mul a.n b.d) (Bigint.mul b.n a.d)
+
+(* Canonical forms are unique, so numeric equality is structural. *)
+let equal a b = Bigint.equal a.n b.n && Bigint.equal a.d b.d
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
+
+let common_denominator ts =
+  let lcm =
+    Array.fold_left
+      (fun l t ->
+        if Bigint.equal l t.d then l
+        else Bigint.mul l (Bigint.div t.d (Bigint.gcd l t.d)))
+      Bigint.one ts
+  in
+  ( Array.map
+      (fun t ->
+        if Bigint.equal t.d lcm then t.n
+        else Bigint.mul t.n (Bigint.div lcm t.d))
+      ts,
+    lcm )
 
 let ( + ) = add
 let ( - ) = sub

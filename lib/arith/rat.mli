@@ -26,6 +26,22 @@ val of_ints : int -> int -> t
 val num : t -> Bigint.t
 val den : t -> Bigint.t
 
+(** {2 Arithmetic}
+
+    Every result is canonical. Among the operations below, only {!div}
+    and the general cases of {!add} and {!mul} normalize through
+    {!make} (one gcd); the others keep the form canonical without
+    one:
+    - {!neg}, {!abs}: the numerator's sign does not affect coprimality;
+    - {!add} (and {!sub}) when one operand is an integer [k]: the
+      denominator is kept and [gcd (n + k·d, d) = gcd (n, d) = 1];
+    - {!mul} of two integers: the denominator is [1];
+    - {!inv}: swapping a coprime pair keeps it coprime, and the sign
+      moves to the numerator;
+    - {!compare} cross-multiplies (denominators are positive) and
+      {!equal} compares the pairs structurally, since each value has
+      exactly one canonical form. *)
+
 val neg : t -> t
 val abs : t -> t
 val add : t -> t -> t
@@ -40,6 +56,15 @@ val inv : t -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
+(** [common_denominator ts] is [(ns, l)] with [l > 0] the least common
+    multiple of the denominators of [ts] and [ns.(i) = ts.(i) · l], an
+    integer. Since [l > 0], comparing integer combinations of the
+    [ns] is comparing the same combinations of [ts], without a gcd
+    per term; [Linsep.classify] and certification are built on it.
+    The empty array gives [([||], 1)]. *)
+val common_denominator : t array -> Bigint.t array * Bigint.t
+
 val sign : t -> int
 val is_zero : t -> bool
 val min : t -> t -> t

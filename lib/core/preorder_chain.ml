@@ -146,8 +146,8 @@ let vector_of ~arrow t x =
   v
 
 let classify ~arrow t labels xs =
-  let c = classifier t labels in
-  List.map (fun x -> (x, Linsep.classify c (vector_of ~arrow t x))) xs
+  let classify = Linsep.classify (classifier t labels) in
+  List.map (fun x -> (x, classify (vector_of ~arrow t x))) xs
 
 (* Graphviz rendering of the class DAG: nodes are equivalence classes
    (labeled by representative and size), edges the covering relation

@@ -43,9 +43,9 @@ let separating_classifier stat t = Nsep.separable (examples stat t)
 let separates stat t = separating_classifier stat t <> None
 
 let induced_labeling stat classifier db =
+  let classify = Linsep.classify classifier in
   List.fold_left
-    (fun acc (e, vec) ->
-      Labeling.set e (Linsep.classify classifier vec) acc)
+    (fun acc (e, vec) -> Labeling.set e (classify vec) acc)
     Labeling.empty (vectors stat db)
 
 let errors stat classifier (t : Labeling.training) =

@@ -7,8 +7,9 @@
    attached:
 
    - [hyperplane] lifts the float weights through {!Rat.of_float}
-     (exact on every finite double), replays every example's margin,
-     and re-derives the threshold exactly. A [Certified] classifier is
+     (exact on every finite double), replays every example's margin
+     as an integer over the weights' common denominator, and
+     re-derives the threshold exactly. A [Certified] classifier is
      a real separator — not "probably separates", but checked on each
      example with bignum arithmetic.
 
@@ -47,12 +48,21 @@ let hyperplane ~weights examples =
   with
   | Error msg -> Inconclusive ("non-finite candidate: " ^ msg)
   | Ok w -> (
+      (* Margins are integers over the weights' common denominator
+         [d] (a power of two, since every weight is dyadic): the exact
+         margin of [vec] is [margin vec / d], and [d > 0] keeps every
+         comparison as it is over the rationals. *)
       let n = Array.length w in
+      let nums, d = Rat.common_denominator w in
       let margin vec =
-        let acc = ref Rat.zero in
+        let acc = ref Bigint.zero in
         for i = 0 to n - 1 do
           Budget.tick ~what:"certify: margin term" ();
-          acc := Rat.add !acc (Rat.mul w.(i) (Rat.of_int vec.(i)))
+          acc :=
+            match vec.(i) with
+            | 1 -> Bigint.add !acc nums.(i)
+            | -1 -> Bigint.sub !acc nums.(i)
+            | b -> Bigint.add !acc (Bigint.mul nums.(i) (Bigint.of_int b))
         done;
         !acc
       in
@@ -68,22 +78,23 @@ let hyperplane ~weights examples =
           | Labeling.Pos ->
               min_pos :=
                 Some
-                  (match !min_pos with None -> m | Some p -> Rat.min p m)
+                  (match !min_pos with None -> m | Some p -> Bigint.min p m)
           | Labeling.Neg ->
               max_neg :=
                 Some
-                  (match !max_neg with None -> m | Some q -> Rat.max q m))
+                  (match !max_neg with None -> m | Some q -> Bigint.max q m))
         examples;
       let certified threshold = Certified { Linsep.weights = w; threshold } in
       match (!min_pos, !max_neg) with
       | None, None -> certified Rat.zero
-      | Some p, None -> certified p (* p >= p: all positives pass *)
-      | None, Some q -> certified (Rat.add q Rat.one) (* q < q + 1 *)
+      | Some p, None -> certified (Rat.make p d) (* p >= p: all positives pass *)
+      | None, Some q ->
+          certified (Rat.make (Bigint.add q d) d) (* q < q + 1 *)
       | Some p, Some q ->
-          if Rat.compare q p < 0 then
+          if Bigint.compare q p < 0 then
             (* Midpoint: q < (q+p)/2 < p, so positives clear it
                non-strictly and negatives strictly. *)
-            certified (Rat.div (Rat.add p q) (Rat.of_int 2))
+            certified (Rat.make (Bigint.add p q) (Bigint.mul Bigint.two d))
           else
             Refuted
               "no threshold separates: a negative margin reaches the \

@@ -19,14 +19,16 @@ type 'a verdict =
 val verdict_label : 'a verdict -> string
 
 (** [hyperplane ~weights examples] checks whether the float weight
-    direction separates, in exact arithmetic: every margin
-    [Σ weights.(i)·b̄.(i)] is recomputed as an exact rational, and the
-    direction certifies iff the largest negative-example margin is
-    strictly below the smallest positive-example margin. The threshold
-    is {e not} taken from the caller — it is a free normalization that
-    float solvers get wrong by round-off, so [Certified c] carries the
-    exact midpoint threshold instead. [Inconclusive] only on
-    non-finite candidate entries.
+    direction separates, in exact arithmetic: the weights are lifted
+    exactly and put over their common (power-of-two) denominator [d],
+    every margin [Σ weights.(i)·b̄.(i)] is recomputed as an exact
+    integer multiple of [1/d], and the direction certifies iff the
+    largest negative-example margin is strictly below the smallest
+    positive-example margin. The threshold is {e not} taken from the
+    caller — it is a free normalization that float solvers get wrong
+    by round-off, so [Certified c] carries the exact midpoint
+    threshold instead. [Inconclusive] only on non-finite candidate
+    entries.
     @raise Invalid_argument on an example/weights dimension mismatch. *)
 val hyperplane :
   weights:float array ->

@@ -1,17 +1,32 @@
 type example = { vec : int array; label : Labeling.label }
 type classifier = { weights : Rat.t array; threshold : Rat.t }
 
-let classify c vec =
-  let acc = ref Rat.zero in
-  Array.iteri
-    (fun i w -> acc := Rat.add !acc (Rat.mul w (Rat.of_int vec.(i))))
-    c.weights;
-  if Rat.compare !acc c.threshold >= 0 then Labeling.Pos else Labeling.Neg
+(* Staged: the weights and threshold go to integers over their common
+   denominator once, so each vector costs Bigint adds and one compare.
+   The denominator is positive, so the comparison is unchanged. *)
+let classify c =
+  let n = Array.length c.weights in
+  let nums, _ = Rat.common_denominator (Array.append c.weights [| c.threshold |]) in
+  let threshold = nums.(n) in
+  fun vec ->
+    if Array.length vec <> n then
+      invalid_arg "Linsep.classify: dimension mismatch";
+    let acc = ref Bigint.zero in
+    (* cqlint: allow R1 — dot product bounded by the feature dimension *)
+    for i = 0 to n - 1 do
+      acc :=
+        match vec.(i) with
+        | 1 -> Bigint.add !acc nums.(i)
+        | -1 -> Bigint.sub !acc nums.(i)
+        | b -> Bigint.add !acc (Bigint.mul nums.(i) (Bigint.of_int b))
+    done;
+    if Bigint.compare !acc threshold >= 0 then Labeling.Pos else Labeling.Neg
 
 let errors c examples =
+  let classify = classify c in
   List.fold_left
     (fun acc ex ->
-      if Labeling.label_equal (classify c ex.vec) ex.label then acc
+      if Labeling.label_equal (classify ex.vec) ex.label then acc
       else acc + 1)
     0 examples
 

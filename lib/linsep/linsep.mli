@@ -13,7 +13,13 @@ type example = { vec : int array;  (** entries in {1, -1} *) label : Labeling.la
 type classifier = { weights : Rat.t array; threshold : Rat.t }
 (** [Λ(b̄) = 1 iff Σ weights.(i)·b̄.(i) ≥ threshold]. *)
 
-(** [classify c vec] applies the linear classifier. *)
+(** [classify c vec] applies the linear classifier. It is staged:
+    [classify c] puts the weights and threshold over one common
+    denominator ({!Rat.common_denominator}), after which each vector
+    costs only integer adds and one compare. Apply [classify c] once
+    and reuse the closure for every vector of a batch.
+    @raise Invalid_argument ["Linsep.classify: dimension mismatch"]
+    when [vec] and the weights differ in length. *)
 val classify : classifier -> int array -> Labeling.label
 
 (** [errors c examples] counts misclassified examples. *)

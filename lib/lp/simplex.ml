@@ -36,16 +36,20 @@ let pivot tb ~row ~col =
   let p = t.(row).(col) in
   assert (not (Rat.is_zero p));
   let inv = Rat.inv p in
+  (* Zero entries of the pivot row stay zero and leave every other
+     row's entry in their column unchanged, so both loops skip them. *)
+  let prow = t.(row) in
   for j = 0 to n do
     Budget.tick ~what:"simplex: row normalization" ();
-    t.(row).(j) <- Rat.mul t.(row).(j) inv
+    if not (Rat.is_zero prow.(j)) then prow.(j) <- Rat.mul prow.(j) inv
   done;
   for i = 0 to m do
     if i <> row && not (Rat.is_zero t.(i).(col)) then begin
       let f = t.(i).(col) in
       for j = 0 to n do
         Budget.tick ~what:"simplex: row elimination" ();
-        t.(i).(j) <- Rat.sub t.(i).(j) (Rat.mul f t.(row).(j))
+        if not (Rat.is_zero prow.(j)) then
+          t.(i).(j) <- Rat.sub t.(i).(j) (Rat.mul f prow.(j))
       done
     end
   done;

@@ -64,6 +64,9 @@ type snapshot = {
   s_radius : int option;
       (* [Some r]: neighborhood keys of radius [r]; [None]: some
          feature is disconnected, use database-identity keys. *)
+  s_classify : int array -> Labeling.label;
+      (* [Linsep.classify] applied to the model's classifier once, at
+         install, so cold batches skip restaging it. *)
 }
 
 type db_entry = { de_path : string; de_fingerprint : string; de_db : Db.t }
@@ -92,6 +95,7 @@ let snapshot_of version model =
     s_version = version;
     s_model = model;
     s_radius = Neighborhood.model_radius model.Model_io.statistic;
+    s_classify = Linsep.classify model.Model_io.classifier;
   }
 
 let install t version model =
@@ -309,11 +313,10 @@ let classify t ~db_key ~db entities =
               Budget.make ?timeout:t.cfg.eval_timeout ?fuel:t.cfg.eval_fuel ()
             in
             let stat = snap.s_model.Model_io.statistic in
-            let cls = snap.s_model.Model_io.classifier in
             match
               Guard.run budget (fun () ->
                   List.map2
-                    (fun (_, k) (e, vec) -> (e, k, Linsep.classify cls vec))
+                    (fun (_, k) (e, vec) -> (e, k, snap.s_classify vec))
                     cold
                     (Statistic.vectors_for stat db (List.map fst cold)))
             with

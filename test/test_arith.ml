@@ -187,8 +187,65 @@ let prop_rat_canonical =
       QCheck.assume (d <> 0);
       let r = Rat.of_ints n d in
       Bigint.sign (Rat.den r) > 0
-      && Bigint.equal (Bigint.gcd (Rat.num r) (Rat.den r))
-           (if Rat.is_zero r then Bigint.one else Bigint.one))
+      && Bigint.equal (Bigint.gcd (Rat.num r) (Rat.den r)) Bigint.one
+      && ((not (Rat.is_zero r)) || Bigint.equal (Rat.den r) Bigint.one))
+
+(* Every operation against a gcd-normalizing reference: [Rat.make] on
+   the textbook formula. The operands mix integers, zero, negatives,
+   small fractions and dyadics from [Rat.of_float] across normal and
+   subnormal exponents, so both the gcd-free fast paths (integer
+   operands, [inv], [compare], [equal]) and the general ones run. *)
+let mixed_rat =
+  let open QCheck.Gen in
+  let dyadic =
+    map2
+      (fun m e -> Rat.of_float (Float.ldexp m e))
+      (float_range (-1.0) 1.0)
+      (oneof [ int_range (-70) 70; int_range (-1074) (-1000) ])
+  in
+  QCheck.make ~print:Rat.to_string
+    (frequency
+       [
+         (1, return Rat.zero);
+         (3, map Rat.of_int (int_range (-50) 50));
+         (3, map2 Rat.of_ints (int_range (-500) 500) (int_range 1 60));
+         (4, dyadic);
+       ])
+
+let canonical r =
+  let n = Rat.num r and d = Rat.den r in
+  Bigint.sign d > 0
+  && Bigint.equal (Bigint.gcd n d) Bigint.one
+  && ((not (Bigint.is_zero n)) || Bigint.equal d Bigint.one)
+
+let same_form expect got =
+  canonical got
+  && Bigint.equal (Rat.num expect) (Rat.num got)
+  && Bigint.equal (Rat.den expect) (Rat.den got)
+
+let prop_rat_ops_reference =
+  QCheck.Test.make ~name:"every rat op canonical and = gcd reference"
+    ~count:1000 (QCheck.pair mixed_rat mixed_rat) (fun (a, b) ->
+      let open Bigint in
+      let an = Rat.num a and ad = Rat.den a in
+      let bn = Rat.num b and bd = Rat.den b in
+      let ref_sub = Rat.make (sub (mul an bd) (mul bn ad)) (mul ad bd) in
+      let raises f =
+        match f () with exception Division_by_zero -> true | _ -> false
+      in
+      same_form (Rat.make (add (mul an bd) (mul bn ad)) (mul ad bd)) (Rat.add a b)
+      && same_form ref_sub (Rat.sub a b)
+      && same_form (Rat.make (mul an bn) (mul ad bd)) (Rat.mul a b)
+      && same_form (Rat.make (neg an) ad) (Rat.neg a)
+      && (if Rat.is_zero b then
+            raises (fun () -> Rat.div a b) && raises (fun () -> Rat.inv b)
+          else
+            same_form (Rat.make (mul an bd) (mul ad bn)) (Rat.div a b)
+            && same_form (Rat.make bd bn) (Rat.inv b))
+      && Rat.compare a b = Rat.sign ref_sub
+      && Rat.equal a b = Rat.is_zero ref_sub
+      && Rat.equal a a
+      && Rat.compare a a = 0)
 
 let prop_rat_compare =
   QCheck.Test.make ~name:"rat compare = float compare (away from ties)"
@@ -300,5 +357,6 @@ let () =
           Test_util.qcheck prop_rat_inverse;
           Test_util.qcheck prop_rat_canonical;
           Test_util.qcheck prop_rat_compare;
+          Test_util.qcheck prop_rat_ops_reference;
         ] );
     ]

@@ -154,6 +154,56 @@ let test_chain_large_is_exact () =
         (Labeling.label_equal (Linsep.classify c v) lab))
     labels
 
+(* --- classify ---------------------------------------------------------- *)
+
+let test_classify_dimension () =
+  let c =
+    { Linsep.weights = [| Rat.one; Rat.of_ints 1 2 |]; threshold = Rat.zero }
+  in
+  let mismatch = Invalid_argument "Linsep.classify: dimension mismatch" in
+  Alcotest.check_raises "short vector" mismatch (fun () ->
+      ignore (Linsep.classify c [| 1 |]));
+  Alcotest.check_raises "long vector" mismatch (fun () ->
+      ignore (Linsep.classify c [| 1; 1; -1 |]));
+  check bool_c "matching vector" true
+    (Labeling.label_equal (Linsep.classify c [| 1; -1 |]) pos)
+
+(* The staged classifier (integers over a common denominator) against
+   the dot product in [Rat], on integer vectors beyond ±1 and weights
+   that mix integers, fractions and float dyadics. *)
+let prop_classify_reference =
+  let open QCheck.Gen in
+  let weight =
+    frequency
+      [
+        (2, map Rat.of_int (int_range (-20) 20));
+        (2, map2 Rat.of_ints (int_range (-200) 200) (int_range 1 40));
+        ( 3,
+          map2
+            (fun m e -> Rat.of_float (Float.ldexp m e))
+            (float_range (-1.0) 1.0) (int_range (-60) 20) );
+      ]
+  in
+  let gen =
+    int_range 0 6 >>= fun dim ->
+    array_size (return dim) weight >>= fun weights ->
+    weight >>= fun threshold ->
+    list_size (int_range 1 8) (array_size (return dim) (int_range (-6) 6))
+    >>= fun vecs -> return ({ Linsep.weights; threshold }, vecs)
+  in
+  QCheck.Test.make ~name:"staged classify = Rat dot product" ~count:500
+    (QCheck.make gen) (fun (c, vecs) ->
+      let classify = Linsep.classify c in
+      List.for_all
+        (fun v ->
+          let dot = ref Rat.zero in
+          Array.iteri
+            (fun i w -> dot := Rat.add !dot (Rat.mul w (Rat.of_int v.(i))))
+            c.Linsep.weights;
+          let expect = if Rat.compare !dot c.threshold >= 0 then pos else neg in
+          Labeling.label_equal (classify v) expect)
+        vecs)
+
 let () =
   Alcotest.run "linsep"
     [
@@ -173,5 +223,10 @@ let () =
             test_chain_rejects_nontopological;
           Alcotest.test_case "large exact" `Quick test_chain_large_is_exact;
           qcheck prop_chain_classifier_correct;
+        ] );
+      ( "classify",
+        [
+          Alcotest.test_case "dimension mismatch" `Quick test_classify_dimension;
+          qcheck prop_classify_reference;
         ] );
     ]

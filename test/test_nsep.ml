@@ -150,6 +150,104 @@ let test_certify_farkas () =
   | Certify.Inconclusive _ -> ()
   | v -> Alcotest.fail ("zero mu must be inconclusive, got " ^ Certify.verdict_label v)
 
+(* The per-term [Rat] margin loop that certification used before it
+   moved to integer margins over the common denominator, kept as the
+   reference the current implementation must reproduce exactly. *)
+let reference_hyperplane ~weights examples =
+  match Array.map Rat.of_float weights with
+  | exception Invalid_argument msg ->
+      Certify.Inconclusive ("non-finite candidate: " ^ msg)
+  | w -> (
+      let margin vec =
+        let acc = ref Rat.zero in
+        Array.iteri
+          (fun i wi -> acc := Rat.add !acc (Rat.mul wi (Rat.of_int vec.(i))))
+          w;
+        !acc
+      in
+      let min_pos = ref None and max_neg = ref None in
+      List.iter
+        (fun e ->
+          let m = margin e.Linsep.vec in
+          match e.Linsep.label with
+          | Labeling.Pos ->
+              min_pos :=
+                Some (match !min_pos with None -> m | Some p -> Rat.min p m)
+          | Labeling.Neg ->
+              max_neg :=
+                Some (match !max_neg with None -> m | Some q -> Rat.max q m))
+        examples;
+      let certified threshold = Certify.Certified { Linsep.weights = w; threshold } in
+      match (!min_pos, !max_neg) with
+      | None, None -> certified Rat.zero
+      | Some p, None -> certified p
+      | None, Some q -> certified (Rat.add q Rat.one)
+      | Some p, Some q ->
+          if Rat.compare q p < 0 then
+            certified (Rat.div (Rat.add p q) (Rat.of_int 2))
+          else Certify.Refuted "no threshold separates")
+
+(* Weights mix zeros of both signs, subnormals, small and large
+   exponents and exact integers; vectors are mostly ±1 with some
+   other integers; labels come either from a threshold on the exact
+   margins (so the candidate certifies) or at random. *)
+let prop_hyperplane_reference =
+  let open QCheck.Gen in
+  let weight =
+    frequency
+      [
+        (1, oneofl [ 0.0; -0.0; 1.0; -1.0; Float.min_float; -.Float.min_float ]);
+        (1, map2 (fun m e -> Float.ldexp m e) (float_range (-1.0) 1.0) (int_range (-1074) (-1020)));
+        (4, map2 (fun m e -> Float.ldexp m e) (float_range (-1.0) 1.0) (int_range (-60) 60));
+        (1, map float_of_int (int_range (-9) 9));
+      ]
+  in
+  let entry = frequency [ (6, oneofl [ 1; -1 ]); (1, int_range (-4) 4) ] in
+  let gen =
+    int_range 1 6 >>= fun dim ->
+    array_size (return dim) weight >>= fun weights ->
+    list_size (int_range 0 12) (array_size (return dim) entry) >>= fun vecs ->
+    bool >>= fun planted ->
+    list_size (return (List.length vecs)) bool >>= fun coins ->
+    return (weights, vecs, planted, coins)
+  in
+  let print (w, vecs, planted, _) =
+    Printf.sprintf "weights [%s], %d vectors, planted %b"
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") w)))
+      (List.length vecs) planted
+  in
+  QCheck.Test.make ~name:"hyperplane = per-term Rat reference" ~count:500
+    (QCheck.make ~print gen) (fun (weights, vecs, planted, coins) ->
+      let examples =
+        if planted then begin
+          (* Positive iff the exact margin reaches the median margin. *)
+          let w = Array.map Rat.of_float weights in
+          let margin v =
+            let acc = ref Rat.zero in
+            Array.iteri (fun i wi -> acc := Rat.add !acc (Rat.mul wi (Rat.of_int v.(i)))) w;
+            !acc
+          in
+          let ms = List.sort Rat.compare (List.map margin vecs) in
+          let cut = match ms with [] -> Rat.zero | _ -> List.nth ms (List.length ms / 2) in
+          List.map
+            (fun v ->
+              { Linsep.vec = v; label = (if Rat.compare (margin v) cut >= 0 then pos else neg) })
+            vecs
+        end
+        else List.map2 (fun v c -> { Linsep.vec = v; label = (if c then pos else neg) }) vecs coins
+      in
+      match (Certify.hyperplane ~weights examples, reference_hyperplane ~weights examples) with
+      | Certify.Certified c, Certify.Certified r ->
+          Array.for_all2 Rat.equal c.Linsep.weights r.Linsep.weights
+          && Rat.equal c.threshold r.threshold
+          || QCheck.Test.fail_reportf "threshold %s, reference %s"
+               (Rat.to_string c.threshold) (Rat.to_string r.threshold)
+      | Certify.Refuted _, Certify.Refuted _ -> true
+      | Certify.Inconclusive _, Certify.Inconclusive _ -> true
+      | got, expect ->
+          QCheck.Test.fail_reportf "verdict %s, reference %s"
+            (Certify.verdict_label got) (Certify.verdict_label expect))
+
 (* --- Nsep ------------------------------------------------------------ *)
 
 let test_decide_basics () =
@@ -241,6 +339,79 @@ let prop_numeric_agrees_with_exact =
       in
       numeric = exact)
 
+(* --- golden model bytes ------------------------------------------------ *)
+
+(* Models trained the way the end-to-end benchmark's inputs are built
+   (seed 1): a 20-node typed graph labeled by a planted acyclic CQ[3]
+   query and doubled, once as is (separable) and once with three labels
+   flipped (refuted, so the classifier comes from [min_errors_exact]),
+   and a 40-node graph labeled by a CQ[2] query for serving. The
+   digests were taken before certification and classification moved to
+   integer arithmetic over a common denominator; exact answers must not
+   change a byte of the saved model. *)
+let sub_seed i role = (((1 * 1_000_003) + i) * 8) + (2 * role)
+
+let typed_graph ~seed ~nodes ~edges ~unary =
+  let e =
+    Gen_db.random_db ~seed ~schema:[ ("E", 2) ] ~domain_size:nodes
+      ~facts_per_rel:edges ()
+  in
+  let r =
+    Gen_db.random_db ~seed:(seed + 1) ~schema:[ ("R", 1) ] ~domain_size:nodes
+      ~facts_per_rel:unary ()
+  in
+  List.fold_left
+    (fun db i -> Db.add_entity (Elem.sym (Printf.sprintf "v%d" i)) db)
+    (Db.union e r) (List.init nodes Fun.id)
+
+let loops_marked db =
+  List.fold_left
+    (fun db f ->
+      match (Fact.rel f, Fact.args f) with
+      | "R", [| v |] -> Db.add (Fact.make_l "E" [ v; v ]) db
+      | "E", [| a; b |] when Elem.equal a b -> Db.add (Fact.make_l "R" [ a ]) db
+      | _ -> db)
+    db (Db.facts db)
+
+let model_digest ~m ~refuted t =
+  let t =
+    Textfmt.training_of_document
+      (Textfmt.parse_string (Textfmt.print_training t))
+  in
+  let stat = Atoms_sep.pruned_features ~m t in
+  let examples = Statistic.examples stat t in
+  let c =
+    match ((Nsep.decide examples).Nsep.verdict, refuted) with
+    | Nsep.Sep c, false -> c
+    | Nsep.Unsep, true -> (
+        match Linsep.min_errors_exact ~cap:8 examples with
+        | Some (_, c) -> c
+        | None -> Alcotest.fail "no classifier within 8 errors")
+    | _ -> Alcotest.fail "unexpected separability verdict"
+  in
+  Digest.to_hex (Digest.string (Model_io.to_string_checksummed (Model_io.make stat c)))
+
+let test_golden_models () =
+  let planted3 = Cq_parse.parse "x :- E(x,y), E(y,z), R(z)" in
+  let planted2 = Cq_parse.parse "x :- E(x,y), R(y)" in
+  let cqm i =
+    Families.copies
+      (Planted.label_by_query
+         (typed_graph ~seed:(sub_seed i 0) ~nodes:20 ~edges:30 ~unary:7)
+         planted3)
+      2
+  in
+  check string_c "separable CQ[3] model" "4b20a1174b0b6d187743f4e06c6cd286"
+    (model_digest ~m:3 ~refuted:false (cqm 0));
+  check string_c "refuted CQ[3] model" "27a486e22cd15276255e64e235ba8ead"
+    (model_digest ~m:3 ~refuted:true
+       (Planted.flip_labels ~seed:(sub_seed 4 2) ~count:3 (cqm 4)));
+  check string_c "CQ[2] serving model" "951bdf489a40c79a71f0a5baa98e4186"
+    (model_digest ~m:2 ~refuted:false
+       (Planted.label_by_query
+          (loops_marked (typed_graph ~seed:(sub_seed 0 0) ~nodes:40 ~edges:60 ~unary:13))
+          planted2))
+
 let () =
   Alcotest.run "nsep"
     [
@@ -260,6 +431,7 @@ let () =
         [
           Alcotest.test_case "hyperplane" `Quick test_certify_hyperplane;
           Alcotest.test_case "farkas" `Quick test_certify_farkas;
+          qcheck prop_hyperplane_reference;
         ] );
       ( "nsep",
         [
@@ -269,4 +441,5 @@ let () =
           Alcotest.test_case "fallback ladder" `Quick test_decide_with_fallback;
           qcheck prop_numeric_agrees_with_exact;
         ] );
+      ("golden", [ Alcotest.test_case "model bytes" `Quick test_golden_models ]);
     ]
