@@ -1,4 +1,4 @@
-(* bench_gate [--init] [--max-regress PCT] BASELINE CURRENT —
+(* bench_gate [--max-regress PCT] BASELINE CURRENT —
    regression gate over the flat {"key": number, ...} JSON
    trajectories the bench harness writes.
 
@@ -13,12 +13,6 @@
    every metric is lower-is-better (times, per-record costs, overhead
    ratios — the shape of BENCH_runtime.json / BENCH_service.json), so
    current <= (1 + PCT/100) * baseline must hold for each.
-
-   With --init, a missing BASELINE is not an error: the current
-   trajectory is copied there as the fresh baseline and the gate
-   passes — the bootstrap path for a newly added trajectory whose
-   baseline has not been committed yet. When BASELINE exists, --init
-   is a no-op and the gate runs normally.
 
    Exit 0 when all gates hold, 1 with one line per violation, 2 on
    unreadable/malformed input. The parser is deliberately minimal: it
@@ -69,33 +63,20 @@ let get path fields key =
   | None -> die "bench_gate: %s: missing field %S" path key
 
 let usage () =
-  die "usage: bench_gate [--init] [--max-regress PCT] BASELINE.json CURRENT.json"
+  die "usage: bench_gate [--max-regress PCT] BASELINE.json CURRENT.json"
 
 let () =
-  let rec parse init regress = function
-    | "--init" :: rest -> parse true regress rest
+  let rec parse regress = function
     | "--max-regress" :: pct :: rest -> (
         match float_of_string_opt pct with
-        | Some p when p >= 0.0 -> parse init (Some p) rest
+        | Some p when p >= 0.0 -> parse (Some p) rest
         | _ -> die "bench_gate: --max-regress expects a non-negative number")
-    | [ b; c ] -> (init, regress, b, c)
+    | [ b; c ] -> (regress, b, c)
     | _ -> usage ()
   in
-  let init, max_regress, baseline_path, current_path =
-    parse false None (List.tl (Array.to_list Sys.argv))
+  let max_regress, baseline_path, current_path =
+    parse None (List.tl (Array.to_list Sys.argv))
   in
-  if init && not (Sys.file_exists baseline_path) then begin
-    (* Bootstrap: validate the current trajectory, then adopt it as
-       the baseline verbatim. *)
-    let body = read_file current_path in
-    ignore (parse_flat_json current_path body);
-    let oc = open_out_bin baseline_path in
-    output_string oc body;
-    close_out oc;
-    Printf.printf "bench_gate: initialized baseline %s from %s\n" baseline_path
-      current_path;
-    exit 0
-  end;
   let baseline = parse_flat_json baseline_path (read_file baseline_path) in
   let current = parse_flat_json current_path (read_file current_path) in
   let b key = get baseline_path baseline key in

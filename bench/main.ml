@@ -1260,114 +1260,6 @@ let bench_serving () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Sharded solving: wall time of the CQ[3] candidate-column           *)
-(* evaluation (a dense graph, so evaluation dominates the parent-side *)
-(* feature enumeration) sequential vs fanned out over {2,4} fork      *)
-(* workers, and the engine's recovery overhead when a worker is       *)
-(* SIGKILLed mid-run. All metrics are wall times or ratios,           *)
-(* lower-is-better: on a single-core host sharding can only add       *)
-(* overhead and the gate bounds it; on a multicore host the sharded   *)
-(* times drop below sequential and the gate still passes. Fork-heavy  *)
-(* workloads are timed with best-of-N wall clocks rather than         *)
-(* bechamel: forked children inside a timed thunk distort the OLS     *)
-(* estimate. Trajectory: BENCH_shard.json.                            *)
-(* ------------------------------------------------------------------ *)
-
-let bench_shard_speedup () =
-  Bench_util.header
-    "shard/speedup_and_overhead — sequential vs sharded CQ[3] candidate \
-     evaluation, and recovery overhead under an injected worker kill \
-     (trajectory: BENCH_shard.json)";
-  let t = random_graph_training ~seed:7 ~nodes:24 ~edges:240 in
-  let wall_best n fn =
-    let best = ref infinity in
-    for _ = 1 to n do
-      Runtime_state.reset_all ();
-      let t0 = Unix.gettimeofday () in
-      fn ();
-      best := Float.min !best ((Unix.gettimeofday () -. t0) *. 1e9)
-    done;
-    !best
-  in
-  let sharded shards () =
-    match
-      Atoms_sep.pruned_features_sharded
-        ~sharding:(Shardexec.plan ~shards ())
-        ~m:3 t
-    with
-    | Ok stat -> ignore (Sys.opaque_identity stat)
-    | Error _ -> assert false
-  in
-  let seq_ns =
-    wall_best 3 (fun () ->
-        ignore (Sys.opaque_identity (Atoms_sep.pruned_features ~m:3 t)))
-  in
-  let shards2_ns = wall_best 3 (sharded 2) in
-  let shards4_ns = wall_best 3 (sharded 4) in
-  Bench_util.row [ (14, "path"); (12, "wall"); (12, "speedup") ];
-  Bench_util.rule ();
-  List.iter
-    (fun (name, ns) ->
-      Bench_util.row
-        [
-          (14, name);
-          (12, Bench_util.pp_ns ns);
-          (12, Printf.sprintf "%.2fx" (seq_ns /. ns));
-        ])
-    [
-      ("sequential", seq_ns); ("--shards 2", shards2_ns);
-      ("--shards 4", shards4_ns);
-    ];
-  (* Recovery overhead: fixed-cost synthetic shards, once clean and
-     once with the first spawned worker SIGKILLed immediately — the
-     ratio isolates the engine's detect/requeue/escalate cost from
-     the workload itself. *)
-  let spin { Shardexec.lo; hi } =
-    let acc = ref 0 in
-    for i = lo to hi - 1 do
-      let h = ref (i + 1) in
-      for _ = 1 to 100_000 do
-        h := !h * 48271 mod 0x7fffffff
-      done;
-      acc := !acc + !h
-    done;
-    !acc
-  in
-  let engine ?on_spawn () =
-    match
-      Shardexec.run
-        ~plan:(Shardexec.plan ~shards:4 ())
-        ?on_spawn ~n:64 ~compute:spin ~merge:( + ) ()
-    with
-    | Ok v -> ignore (Sys.opaque_identity v)
-    | Error _ -> assert false
-  in
-  let clean_ns = wall_best 3 (fun () -> engine ()) in
-  let killed_ns =
-    wall_best 3 (fun () ->
-        let killed = ref false in
-        let on_spawn ~pid ~shard:_ =
-          if not !killed then begin
-            killed := true;
-            Unix.kill pid Sys.sigkill
-          end
-        in
-        engine ~on_spawn ())
-  in
-  let kill_recovery_ratio = killed_ns /. Float.max 1.0 clean_ns in
-  Bench_util.rule ();
-  Bench_util.row
-    [
-      (14, "recovery"); (12, Bench_util.pp_ns killed_ns);
-      (12, Printf.sprintf "%.2fx clean" kill_recovery_ratio);
-    ];
-  let put = record ~file:"BENCH_shard.json" in
-  put "seq_ns" seq_ns;
-  put "shards2_ns" shards2_ns;
-  put "shards4_ns" shards4_ns;
-  put "kill_recovery_ratio" kill_recovery_ratio
-
-(* ------------------------------------------------------------------ *)
 
 (* Numeric separation tier vs the exact simplex, on planted/random/
    near-separable instance regimes. Besides the printed table this
@@ -1487,7 +1379,6 @@ let experiments =
     ("service/wal_throughput", bench_wal_throughput);
     ("service/recovery_latency", bench_service_recovery);
     ("service/classify_serving", bench_serving);
-    ("shard/speedup_and_overhead", bench_shard_speedup);
     ("analysis/lint_typed", bench_lint_typed);
     ("linsep/numeric_vs_exact", bench_linsep_numeric);
   ]

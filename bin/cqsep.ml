@@ -234,26 +234,6 @@ let runner_of ~isolate ~grace ~retry ~retry_factor =
     Guard.retrying ~attempts:(retry + 1) ~factor:retry_factor
       ~extend_deadline:true base
 
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Fan the CQ[m] candidate space out over N shards dispatched \
-           to fault-tolerant fork workers (the Shardexec engine): \
-           killed workers are requeued with escalating budgets, \
-           repeat offenders are bisected until the poison unit is \
-           isolated, and stragglers are raced against a speculative \
-           duplicate. Answers are byte-identical to the sequential \
-           path. 1 (the default) disables sharding.")
-
-let sharding_of ~shards =
-  if shards < 1 then begin
-    Printf.eprintf "cqsep: --shards must be >= 1\n";
-    exit 4
-  end;
-  if shards > 1 then Some (Shardexec.plan ~shards ()) else None
-
 (* --- numeric-tier controls ------------------------------------------- *)
 
 let numeric_arg =
@@ -355,14 +335,13 @@ let info_cmd =
 
 let sep_cmd =
   let run path lang dim eps timeout fuel no_degrade isolate grace retry
-      retry_factor shards numeric exact_only cert_stats verbose =
+      retry_factor numeric exact_only cert_stats verbose =
     with_input @@ fun () ->
     setup_logs verbose;
     set_tier ~numeric ~exact_only;
     let t = read_training path in
     let budget = budget_of ~timeout ~fuel in
     let runner = runner_of ~isolate ~grace ~retry ~retry_factor in
-    let sharding = sharding_of ~shards in
     let describe =
       Printf.sprintf "%s%s%s" (Language.to_string lang)
         (match dim with Some d -> Printf.sprintf " dim<=%d" d | None -> "")
@@ -377,7 +356,7 @@ let sep_cmd =
            reported slack. *)
         let result =
           Cq_sep.decide_with_fallback ?budget ~degrade:(not no_degrade)
-            ~runner ?sharding t
+            ~runner t
         in
         begin
           match (result.Cq_sep.answer, result.Cq_sep.provenance) with
@@ -392,32 +371,11 @@ let sep_cmd =
           | None, _ -> assert false
         end
     | _ ->
-        (* Outside the ladder, sharding applies wherever a per-feature
-           candidate space exists: the plain CQ[m] decision and the
-           dimension-bounded one (whose CQ[m] branch fans out; other
-           languages fall back to the sequential path under the same
-           budget). *)
         let answer =
-          match (sharding, eps, dim, (lang : Language.t)) with
-          | Some plan, None, None, Language.Cq_atoms { m; p } -> begin
-              match
-                Atoms_sep.separable_sharded ~sharding:plan ?budget ~m ?p t
-              with
-              | Ok answer -> answer
-              | Error failure -> fail_with failure
-            end
-          | Some plan, None, Some d, _ -> begin
-              match
-                Dim_sep.separable_sharded ~sharding:plan ?budget ~dim:d lang t
-              with
-              | Ok answer -> answer
-              | Error failure -> fail_with failure
-            end
-          | _ ->
-              guarded runner budget (fun () ->
-                  match eps with
-                  | None -> Cqfeat.separable ?dim lang t
-                  | Some eps -> Cqfeat.apx_separable ?dim ~eps lang t)
+          guarded runner budget (fun () ->
+              match eps with
+              | None -> Cqfeat.separable ?dim lang t
+              | Some eps -> Cqfeat.apx_separable ?dim ~eps lang t)
         in
         Printf.printf "%s-separable: %b\n" describe answer;
         finish ~cert_stats (if answer then 0 else 1)
@@ -428,7 +386,7 @@ let sep_cmd =
     Term.(
       const run $ train_arg $ lang_arg $ dim_arg $ eps_arg $ timeout_arg
       $ fuel_arg $ no_degrade_arg $ isolate_arg $ grace_arg $ retry_arg
-      $ retry_factor_arg $ shards_arg $ numeric_arg $ exact_only_arg
+      $ retry_factor_arg $ numeric_arg $ exact_only_arg
       $ cert_stats_arg $ verbose_arg)
 
 let out_arg =

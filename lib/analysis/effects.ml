@@ -32,7 +32,7 @@
 
    The runtime-contract exemption: nodes in [Budget], [Guard] and
    [Runtime_state] are Pure by fiat and effect-opaque — budget/guard
-   bookkeeping is per-shard state by contract (forked workers get
+   bookkeeping is per-worker state by contract (forked workers get
    their own), and thunks passed into them are mentioned directly by
    the caller, so real effects still flow. [Isolate] is analyzed like
    any other module and comes out Forks through its Unix.fork mention.
@@ -556,9 +556,9 @@ let level_name = function
   | Io -> "io"
   | Forks -> "forks"
 
-(* Shard-safe: no ambient effect a concurrent shard could observe —
-   pure, or touching only Runtime_state-registered caches (which the
-   sharding layer resets/validates per worker by contract). *)
+(* Shard-safe: no ambient effect a forked worker could carry over unreset —
+   pure, or touching only Runtime_state-registered caches (which every
+   Isolate fork worker resets on startup and chaos runs validate). *)
 let shard_safe t s =
   match level t s with
   | Pure -> true

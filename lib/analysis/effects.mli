@@ -10,11 +10,11 @@
     [Runtime_state] registration status, which is what turns a raw
     signature into a shard-safety verdict: an entry point is
     {e shard-safe} when it is pure or touches only registered caches
-    (reset/validated per worker by the sharding layer's contract).
+    (reset in every [Isolate] fork worker, validated after aborts).
 
     [Budget], [Guard] and [Runtime_state] are exempt by contract:
     their nodes are Pure and effect-opaque (budget bookkeeping is
-    per-shard state). Thunks passed through them still contribute —
+    per-worker state). Thunks passed through them still contribute —
     the caller mentions the thunk body directly. *)
 
 type site = {
@@ -57,7 +57,7 @@ val unregistered_writes : t -> esig -> site list
 val level : t -> esig -> level
 (** Collapse a signature to its lattice level. Writes to {e registered}
     sites stay at [Reads_cache] — registration is the discipline that
-    makes the mutation shard-local by contract. *)
+    makes the mutation worker-local by contract. *)
 
 val shard_safe : t -> esig -> bool
 (** [Pure], or [Reads_cache] with every touched site registered. *)

@@ -590,18 +590,11 @@ let r8_drift sources =
 
 (* [exported_roots], but keeping the provenance: which module exports
    which name, and which graph node it resolved to. The shard-safety
-   report and R9 both consume this.
-
-   Coordinator modules live outside the solver dirs (they orchestrate
-   rather than solve) but their exports are exactly the surfaces a
-   concurrent caller reaches first, so they are certified alongside
-   the solver entry points. *)
-let coordinator_modules = [ "Shardexec" ]
-
+   report and R9 both consume this. *)
 let entry_points g sources =
   List.concat_map
     (fun s ->
-      if (not s.s_solver) && not (List.mem s.s_mod coordinator_modules) then []
+      if not s.s_solver then []
       else
         match s.s_intf with
         | Some sg ->
@@ -639,10 +632,10 @@ let r9_effects g eff sources =
                ~key:(fresh s.s_file ("effect:" ^ name))
                (Printf.sprintf
                   "exported entry point `%s` writes unregistered global \
-                   state (%s) — inferred effect %s: a concurrent shard \
-                   would observe or clobber the mutation; register the \
-                   cache with Runtime_state (with a validator) or localize \
-                   the state"
+                   state (%s) — inferred effect %s: an Isolate fork \
+                   worker would inherit the mutation without a reset; \
+                   register the cache with Runtime_state (with a \
+                   validator) or localize the state"
                   name
                   (String.concat ", "
                      (List.map

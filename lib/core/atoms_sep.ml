@@ -65,70 +65,6 @@ let apx_classify ~m ?p ~eps (t : Labeling.training) eval_db =
 
 let default_budget = function Some b -> b | None -> Budget.installed ()
 
-(* --- sharded variants ------------------------------------------------ *)
-
-(* The Shardexec client contract: workers compute raw per-range data —
-   here the indicator columns of a contiguous slice of the feature
-   list — and every order-dependent step (the Hashtbl column dedupe,
-   the LP) runs sequentially in the parent over the range-ordered
-   concatenation. The resulting statistic is therefore byte-identical
-   to the sequential {!pruned_features}, whichever workers die and in
-   whatever order shards complete. *)
-
-let column_slice fq entities db { Shardexec.lo; hi } =
-  let out = ref [] in
-  for i = hi - 1 downto lo do
-    Budget.tick ~what:"atoms sep: column slice" ();
-    let selected = Elem.Set.of_list (Eval_engine.eval fq.(i) db) in
-    out := List.map (fun e -> Elem.Set.mem e selected) entities :: !out
-  done;
-  !out
-
-let dedupe_features features columns =
-  let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun (q, column) ->
-      if Hashtbl.mem seen column then None
-      else begin
-        Hashtbl.add seen column ();
-        Some q
-      end)
-    (List.combine features columns)
-
-let pruned_features_sharded ~sharding ?budget ~m ?p (t : Labeling.training) =
-  let b = default_budget budget in
-  match Guard.run b (fun () -> all_features ~m ?p t.db) with
-  | Error _ as e -> e
-  | Ok features -> begin
-      let entities = Db.entities t.db in
-      let fq = Array.of_list features in
-      match
-        Shardexec.run ~plan:sharding ~budget:b ~n:(Array.length fq)
-          ~compute:(column_slice fq entities t.db)
-          ~merge:(fun a c -> a @ c)
-          ()
-      with
-      | Error _ as e -> e
-      | Ok columns -> Ok (dedupe_features features columns)
-    end
-
-let separable_sharded ~sharding ?budget ~m ?p t =
-  match pruned_features_sharded ~sharding ?budget ~m ?p t with
-  | Error _ as e -> e
-  | Ok stat ->
-      Guard.run (default_budget budget) (fun () ->
-          Statistic.separating_classifier stat t <> None)
-
-let min_errors_sharded ~sharding ?budget ~m ?p ?cap t =
-  match pruned_features_sharded ~sharding ?budget ~m ?p t with
-  | Error _ as e -> e
-  | Ok stat ->
-      Guard.run (default_budget budget) (fun () ->
-          let examples = Statistic.examples stat t in
-          match Linsep.min_errors_exact ?cap examples with
-          | Some (err, c) -> Some (err, stat, c)
-          | None -> None)
-
 let separable_b ?budget ~m ?p t =
   Guard.run (default_budget budget) (fun () -> separable ~m ?p t)
 

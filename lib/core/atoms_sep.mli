@@ -86,29 +86,3 @@ val apx_classify_b :
   ?budget:Budget.t -> m:int -> ?p:int -> eps:Rat.t -> Labeling.training ->
   Db.t -> (Labeling.t * int, Guard.failure) result
 
-(** {2 Sharded variants}
-
-    The CQ[m] candidate space is the first {!Shardexec} client:
-    workers evaluate the indicator columns of contiguous slices of
-    the feature list, and the order-dependent column dedupe and LP
-    run sequentially in the parent over the range-ordered merge — so
-    each result below is byte-identical to its sequential
-    counterpart, invariant to worker failures and completion order. *)
-
-val pruned_features_sharded :
-  sharding:Shardexec.plan -> ?budget:Budget.t -> m:int -> ?p:int ->
-  Labeling.training -> (Statistic.t, Guard.failure) result
-(** Sharded {!pruned_features}: feature enumeration and dedupe in the
-    parent, column evaluation fanned out per shard. *)
-
-val separable_sharded :
-  sharding:Shardexec.plan -> ?budget:Budget.t -> m:int -> ?p:int ->
-  Labeling.training -> (bool, Guard.failure) result
-(** Sharded {!separable}: same verdict as [separable ~m ?p]. *)
-
-val min_errors_sharded :
-  sharding:Shardexec.plan -> ?budget:Budget.t -> m:int -> ?p:int ->
-  ?cap:int -> Labeling.training ->
-  ((int * Statistic.t * Linsep.classifier) option, Guard.failure) result
-(** Sharded {!min_errors}: sharded column evaluation, sequential
-    exact min-error search over the merged statistic. *)

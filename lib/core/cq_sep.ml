@@ -167,31 +167,15 @@ let pp_provenance fmt = function
   | Gave_up f -> Format.fprintf fmt "gave up: %s" (Guard.failure_to_string f)
 
 let decide_with_fallback ?budget ?(degrade = true) ?(rungs = [ 3; 2; 1 ])
-    ?(runner = Guard.runner) ?sharding t =
+    ?(runner = Guard.runner) t =
   let b = default_budget budget in
   (* One absolute deadline bounds the whole ladder; fuel is refilled
      per rung so a failed exact attempt does not starve the cheaper
      fallbacks. The runner decides how each rung executes: in-process
      Guard.run (default), a forked worker (Isolate.runner), or either
-     wrapped in a retry policy (Guard.retrying). With [sharding], the
-     CQ[m] rungs fan their candidate spaces out across Shardexec fork
-     workers instead — the exact rung (a single chain construction
-     with no per-feature candidate space) still goes through the
-     runner. Sharded rungs answer byte-identically to sequential
-     ones, so the ladder's verdict and provenance are unchanged. *)
+     wrapped in a retry policy (Guard.retrying). *)
   let attempt f = runner.Guard.run (Budget.refresh b) f in
-  let sharded =
-    match sharding with
-    | Some plan when plan.Shardexec.shards > 1 -> Some plan
-    | _ -> None
-  in
-  let rung_separable m =
-    match sharded with
-    | Some plan ->
-        Atoms_sep.separable_sharded ~sharding:plan ~budget:(Budget.refresh b)
-          ~m t
-    | None -> attempt (fun () -> Atoms_sep.separable ~m t)
-  in
+  let rung_separable m = attempt (fun () -> Atoms_sep.separable ~m t) in
   (* Final rung: minimal training error achievable with CQ[1]
      features, reported as a misclassified fraction. A slack of zero
      certifies CQ-separability (CQ[1] ⊆ CQ); positive slack is a
@@ -203,19 +187,7 @@ let decide_with_fallback ?budget ?(degrade = true) ?(rungs = [ 3; 2; 1 ])
     | None -> Rat.one
   in
   let slack_rung () =
-    let outcome =
-      match sharded with
-      | Some plan -> begin
-          match
-            Atoms_sep.min_errors_sharded ~sharding:plan
-              ~budget:(Budget.refresh b) ~m:1 t
-          with
-          | Ok me -> Ok (slack_of me)
-          | Error _ as e -> e
-        end
-      | None -> attempt (fun () -> slack_of (Atoms_sep.min_errors ~m:1 t))
-    in
-    match outcome with
+    match attempt (fun () -> slack_of (Atoms_sep.min_errors ~m:1 t)) with
     | Ok slack ->
         { answer = Some (Rat.is_zero slack); provenance = Approximate slack }
     | Error f -> { answer = None; provenance = Gave_up f }

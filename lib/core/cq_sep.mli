@@ -101,7 +101,7 @@ type ladder_result = {
 
 val pp_provenance : Format.formatter -> provenance -> unit
 
-(** [decide_with_fallback ?budget ?degrade ?rungs ?runner ?sharding t]
+(** [decide_with_fallback ?budget ?degrade ?rungs ?runner t]
     runs the graceful-degradation ladder: exact CQ-Sep, then CQ[m] for
     each [m] in [rungs] (default [3; 2; 1]), then approximate
     separability with reported slack. All rungs share [budget]'s
@@ -110,15 +110,7 @@ val pp_provenance : Format.formatter -> provenance -> unit
     after the exact attempt and reports [Gave_up]. [runner] (default
     {!Guard.runner}) chooses the execution strategy per rung — pass
     [Isolate.runner ()] for hard process isolation, or wrap either in
-    [Guard.retrying] for bounded budget-escalating retries. With
-    [sharding] (a {!Shardexec.plan} with more than one shard), the
-    CQ[m] and slack rungs instead fan their candidate spaces out
-    across fault-tolerant fork workers
-    ({!Atoms_sep.separable_sharded}, {!Atoms_sep.min_errors_sharded});
-    answers are byte-identical to the sequential rungs, so provenance
-    is unaffected. The exact rung has no per-feature candidate space
-    and always goes through [runner]. *)
+    [Guard.retrying] for bounded budget-escalating retries. *)
 val decide_with_fallback :
   ?budget:Budget.t -> ?degrade:bool -> ?rungs:int list ->
-  ?runner:Guard.runner -> ?sharding:Shardexec.plan ->
-  Labeling.training -> ladder_result
+  ?runner:Guard.runner -> Labeling.training -> ladder_result

@@ -321,71 +321,6 @@ let separable_b ?budget ~dim lang t =
 let realizable_sets_b ?budget lang t =
   Guard.run (default_budget budget) (fun () -> realizable_sets lang t)
 
-(* --- sharded variants ------------------------------------------------ *)
-
-(* Second Shardexec client: the candidate indicator sets of the CQ[m]
-   branch. Workers evaluate contiguous slices of the feature-query
-   list into entity sets; the order-dependent empty-set filter and
-   dedupe run sequentially in the parent over the range-ordered merge,
-   so the set list is byte-identical to {!realizable_sets}. Languages
-   whose candidate space is not a per-feature map (the subset
-   enumeration of CQ/GHW) fall back to the sequential path under the
-   same budget. *)
-
-let set_slice fq db { Shardexec.lo; hi } =
-  let out = ref [] in
-  for i = hi - 1 downto lo do
-    Budget.tick ~what:"dim sep: set slice" ();
-    out := Elem.Set.of_list (Cq.eval fq.(i) db) :: !out
-  done;
-  !out
-
-let dedupe_sets sets =
-  let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun s ->
-      let key = Elem.Set.elements s in
-      if Elem.Set.is_empty s || Hashtbl.mem seen key then None
-      else begin
-        Hashtbl.add seen key ();
-        Some s
-      end)
-    sets
-
-let realizable_sets_sharded ~sharding ?budget lang (t : Labeling.training) =
-  let b = default_budget budget in
-  match (lang : Language.t) with
-  | Cq_atoms { m; p } -> begin
-      match Guard.run b (fun () -> Atoms_sep.all_features ~m ?p t.db) with
-      | Error _ as e -> e
-      | Ok features -> begin
-          let fq = Array.of_list features in
-          match
-            Shardexec.run ~plan:sharding ~budget:b ~n:(Array.length fq)
-              ~compute:(set_slice fq t.db)
-              ~merge:(fun a c -> a @ c)
-              ()
-          with
-          | Error _ as e -> e
-          | Ok sets -> Ok (dedupe_sets sets)
-        end
-    end
-  | _ -> Guard.run b (fun () -> realizable_sets lang t)
-
-let separable_sharded ~sharding ?budget ~dim lang t =
-  match (lang : Language.t) with
-  | Cq_atoms _ -> begin
-      match realizable_sets_sharded ~sharding ?budget lang t with
-      | Error _ as e -> e
-      | Ok sets ->
-          Guard.run (default_budget budget) (fun () ->
-              separable_with_sets ~dim ~sets t)
-    end
-  | _ ->
-      (* Dimension collapses and subset enumerations have no
-         per-feature candidate space to shard. *)
-      Guard.run (default_budget budget) (fun () -> separable ~dim lang t)
-
 let separable_with_sets_b ?budget ?seed_numeric ~dim ~sets t =
   Guard.run (default_budget budget) (fun () ->
       separable_with_sets ?seed_numeric ~dim ~sets t)

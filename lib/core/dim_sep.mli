@@ -134,22 +134,3 @@ val min_dimension_b :
   ?budget:Budget.t -> ?max_dim:int -> Language.t -> Labeling.training ->
   (int option, Guard.failure) result
 
-(** {2 Sharded variants}
-
-    The indicator-matrix columns of the [CQ[m]] branch are a
-    {!Shardexec} client: workers evaluate contiguous slices of the
-    feature-query list into entity sets, and the order-dependent
-    empty-set filter and dedupe run sequentially in the parent over
-    the range-ordered merge — byte-identical results to the
-    sequential path. Other languages fall back to the sequential
-    computation under the same budget. *)
-
-val realizable_sets_sharded :
-  sharding:Shardexec.plan -> ?budget:Budget.t -> Language.t ->
-  Labeling.training -> (Elem.Set.t list, Guard.failure) result
-(** Sharded {!realizable_sets} (CQ[m] branch fanned out). *)
-
-val separable_sharded :
-  sharding:Shardexec.plan -> ?budget:Budget.t -> dim:int -> Language.t ->
-  Labeling.training -> (bool, Guard.failure) result
-(** Sharded {!separable}: same verdict as [separable ~dim lang]. *)

@@ -77,7 +77,7 @@ let () =
 (* Every fresh worker first drops the caches it inherited from the
    parent image: a chaos-poisoned or merely stale memo table
    (cq_sep.chain_cache, struct_iso.intern, ...) must never leak into a
-   shard result. Configuration-kind state (the numeric-tier selector,
+   worker's result. Configuration-kind state (the numeric-tier selector,
    this hook list itself) survives — the child keeps the semantics the
    operator chose. *)
 let run_child_hooks () =
@@ -132,7 +132,6 @@ let spawn (type a) ?budget ?timeout ?(grace = default_grace) (f : unit -> a) :
         w_result = None;
       }
 
-let pid w = w.w_pid
 let poll_fd w = w.w_fd
 let kill_deadline w = w.w_kill_deadline
 

@@ -62,9 +62,6 @@ val spawn :
     (or {!poll} to completion) the worker, or it leaks a child process.
     @raise Invalid_argument on a negative [timeout] or [grace]. *)
 
-val pid : _ worker -> int
-(** The worker's process id. *)
-
 val poll_fd : _ worker -> Unix.file_descr option
 (** The read end of the worker's result pipe — the fd to [select] on.
     [None] once the worker has finished and the fd is closed. *)

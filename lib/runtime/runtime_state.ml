@@ -12,7 +12,7 @@
    and [`Config] for ambient configuration whose value IS the
    semantics (the numeric-tier selector, registered hook lists).
    {!reset_caches} — the fork-child hygiene hook — resets only the
-   former: a freshly forked shard worker must drop inherited memo
+   former: a freshly forked Isolate worker must drop inherited memo
    tables but keep the tier the operator selected. *)
 
 type kind = [ `Cache | `Config ]

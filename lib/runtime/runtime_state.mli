@@ -43,10 +43,10 @@ val reset_all : unit -> unit
 
 val reset_caches : unit -> unit
 (** Reset only the [`Cache]-kind entries. This is the fork-child
-    hygiene hook: a freshly forked worker drops every inherited memo
-    table (chaos-poisoned or stale parent state can never leak into a
-    shard result) while ambient configuration such as the numeric-tier
-    selector keeps the value the operator chose. *)
+    hygiene hook: a freshly forked Isolate worker drops every inherited
+    memo table (chaos-poisoned or stale parent state can never leak
+    into its result) while ambient configuration such as the
+    numeric-tier selector keeps the value the operator chose. *)
 
 val validate_all : unit -> string list
 (** Run every [validate]; returns the (sorted) names that failed —

@@ -11,8 +11,8 @@
 
    Also home to the [Isolate] process-isolation tests (hard kill of
    non-ticking loops, stack-overflow containment, failure round-trip
-   through the result pipe) and the [Guard.retrying] escalation
-   policy. *)
+   through the result pipe, fork-time cache hygiene) and the
+   [Guard.retrying] escalation policy. *)
 
 open Test_util
 
@@ -449,6 +449,40 @@ let test_isolate_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative grace must be rejected"
 
+(* Fork hygiene: every fresh worker resets the [`Cache] registrations it
+   inherited, so a corrupted parent cache cannot reach its result, while
+   [`Config] registrations are deliberate state and survive the fork. *)
+let probe_cache = ref 0
+let probe_knob = ref 1
+
+let () =
+  Runtime_state.register ~name:"test_chaos.probe_cache"
+    ~validate:(fun () -> !probe_cache >= 0)
+    (fun () -> probe_cache := 0);
+  Runtime_state.register ~name:"test_chaos.probe_knob" ~kind:`Config
+    (fun () -> probe_knob := 1)
+
+let test_isolate_fork_drops_parent_caches () =
+  probe_cache := 42;
+  (* corrupted parent cache *)
+  probe_knob := 7;
+  (* deliberate configuration *)
+  let finish () =
+    probe_cache := 0;
+    probe_knob := 1
+  in
+  Fun.protect ~finally:finish (fun () ->
+      match
+        Isolate.run ~timeout:30.0 (fun () -> (!probe_cache, !probe_knob))
+      with
+      | Error f -> Alcotest.failf "unexpected %s" (Guard.failure_to_string f)
+      | Ok (cache, knob) ->
+          check int_c "corrupted cache reset in the child" 0 cache;
+          check int_c "configuration survives the fork" 7 knob;
+          check int_c "parent cache untouched by the run" 42 !probe_cache;
+          check int_c "parent configuration untouched by the run" 7
+            !probe_knob)
+
 (* --- Guard.retrying: escalation policy -------------------------------- *)
 
 let hundred_ticks () =
@@ -522,7 +556,7 @@ let test_runtime_state_registry () =
       check bool_c (n ^ " registered") true (List.mem n names))
     [
       "cq_sep.chain_cache"; "cq_decomp.ghw_cache"; "struct_iso.intern";
-      "nsep.tier"; "nsep.stats"; "shardexec.stats"; "shardexec.journal";
+      "nsep.tier"; "nsep.stats";
     ];
   check bool_c "validate_all clean at rest" true
     (Runtime_state.validate_all () = [])
@@ -559,6 +593,8 @@ let () =
             test_isolate_contains_stack_overflow;
           Alcotest.test_case "rejects bad deadlines" `Quick
             test_isolate_validation;
+          Alcotest.test_case "fork drops parent caches, keeps config" `Quick
+            test_isolate_fork_drops_parent_caches;
         ] );
       ( "retrying",
         [

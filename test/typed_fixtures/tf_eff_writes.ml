@@ -2,7 +2,7 @@
    with no Runtime_state registration, so [record] infers
    writes-global and is an R9 finding; [count] only reads it —
    reads-cache, not a finding, but not shard-safe either (nothing
-   resets the unregistered state between shards). *)
+   resets the unregistered state in a forked worker). *)
 
 let hits = ref 0
 
