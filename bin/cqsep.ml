@@ -509,23 +509,11 @@ let classify_cmd =
     let eval_db = read_db eval_path in
     let budget = budget_of ~timeout ~fuel in
     let runner = runner_of ~isolate ~grace ~retry ~retry_factor in
-    let b = match budget with Some b -> b | None -> Budget.unlimited in
-    (* Through the budgeted [_b] entry points, inside the runner: the
-       runner supplies --isolate/--retry (as in sep), the [_b] layer
-       turns exhaustion and solver errors into structured failures
-       either way — [Ok (Error f)] is a failure the worker caught,
-       [Error f] one the runner did (e.g. an isolate crash). *)
-    let result =
-      runner.Guard.run b (fun () ->
-          match eps with
-          | None -> Cqfeat.classify_b ?dim lang t eval_db
-          | Some eps ->
-              Result.map fst (Cqfeat.apx_classify_b ~eps lang t eval_db))
-    in
     let labeling =
-      match result with
-      | Ok (Ok labeling) -> labeling
-      | Ok (Error failure) | Error failure -> fail_with failure
+      guarded runner budget (fun () ->
+          match eps with
+          | None -> Cqfeat.classify ?dim lang t eval_db
+          | Some eps -> fst (Cqfeat.apx_classify ~eps lang t eval_db))
     in
     List.iter
       (fun (e, l) ->

@@ -124,8 +124,6 @@ let lint_source_counted ?(extra = []) ~rules ~solver (src : Lint_source.t) =
         (if enabled Lint_finding.R2 then Lint_rules.r2_exceptions src else []);
         (if enabled Lint_finding.R3 then Lint_rules.r3_comparisons src
          else []);
-        (if solver && enabled Lint_finding.R4 then Lint_rules.r4_interface src
-         else []);
         (if solver && enabled Lint_finding.R5 then Lint_rules.r5_state src
          else []);
       ]

@@ -22,7 +22,7 @@
     longer match anything are reported as stale. *)
 
 val solver_dirs : string list
-(** The worst-case-exponential libraries R1/R4b/R5/R6 apply to:
+(** The worst-case-exponential libraries R1/R5/R6 apply to:
     [core cq relational folang covergame lp linsep]. *)
 
 type config = {
@@ -55,7 +55,7 @@ val lint_source :
   solver:bool ->
   Lint_source.t ->
   Lint_finding.t list
-(** Run the per-file Parsetree rules on one parsed source (R1 and R4b
+(** Run the per-file Parsetree rules on one parsed source (R1 and R5
     gated on [solver]) and apply its suppression directives. This is
     the unit the linter's own tests drive. *)
 

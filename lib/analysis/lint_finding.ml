@@ -65,8 +65,7 @@ let rule_doc = function
       "comparison safety: no polymorphic =/compare/Hashtbl.hash on domain \
        values (Rat.t, Bigint.t, structural keys)"
   | R4 ->
-      "interface hygiene: every module has an .mli; solver entry points have \
-       budgeted _b counterparts"
+      "interface hygiene: every library module has an .mli"
   | R5 ->
       "state registration: top-level mutable state in solver libraries must \
        register with Runtime_state for abort-safety reset/validate"

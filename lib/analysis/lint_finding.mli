@@ -11,7 +11,7 @@ type rule =
   | R1  (** budget discipline: solver loops and recursion must tick *)
   | R2  (** exception hygiene: Guard-convertible raises, guarded [_b] *)
   | R3  (** comparison safety: no polymorphic compare/hash on domain types *)
-  | R4  (** interface hygiene: [.mli] coverage and [_b] counterparts *)
+  | R4  (** interface hygiene: every library module has an [.mli] *)
   | R5  (** state registration: top-level mutable solver state registers
             with [Runtime_state] *)
   | R6  (** determinism (typed): no PRNG/wall-clock/Hashtbl-order on paths

@@ -527,7 +527,7 @@ let r5_state (src : Lint_source.t) =
       check_structure structure;
       List.rev !findings
 
-(* --- R4: interface hygiene ------------------------------------------- *)
+(* --- R4: .mli coverage ------------------------------------------------ *)
 
 let r4_missing_mli ~dir ~ml ~mli =
   let has_mli base = List.mem (base ^ ".mli") mli in
@@ -543,83 +543,8 @@ let r4_missing_mli ~dir ~ml ~mli =
                ~key:(Printf.sprintf "mli:%s" base)
                (Printf.sprintf
                   "module `%s` has no .mli: every library module must \
-                   declare its public surface so R4 can check entry-point \
-                   coverage"
+                   declare its public surface"
                   (String.capitalize_ascii base)))
       end
       else None)
     ml
-
-let rec arrow_args ty =
-  match ty.ptyp_desc with
-  | Ptyp_arrow (lbl, a, b) -> (lbl, a) :: arrow_args b
-  | Ptyp_poly (_, t) -> arrow_args t
-  | _ -> []
-
-let type_mentions pred ty =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      typ =
-        (fun self t ->
-          (match t.ptyp_desc with
-          | Ptyp_constr ({ txt; _ }, _) -> if pred txt then found := true
-          | _ -> ());
-          Ast_iterator.default_iterator.typ self t);
-    }
-  in
-  it.typ it ty;
-  !found
-
-let is_training = function
-  | Longident.Ldot (Longident.Lident "Labeling", "training") -> true
-  | _ -> false
-
-let r4_interface (src : Lint_source.t) =
-  match src.ast with
-  | Impl _ -> []
-  | Intf signature ->
-      let vals = Hashtbl.create 16 in
-      List.iter
-        (fun item ->
-          match item.psig_desc with
-          | Psig_value vd -> Hashtbl.replace vals vd.pval_name.txt ()
-          | _ -> ())
-        signature;
-      List.filter_map
-        (fun item ->
-          match item.psig_desc with
-          | Psig_value vd ->
-              let name = vd.pval_name.txt in
-              let is_b =
-                String.length name > 2
-                && String.sub name (String.length name - 2) 2 = "_b"
-              in
-              let args = arrow_args vd.pval_type in
-              let budgeted =
-                List.exists
-                  (fun (lbl, _) -> lbl = Asttypes.Optional "budget")
-                  args
-              in
-              let takes_training =
-                List.exists (fun (_, t) -> type_mentions is_training t) args
-              in
-              if
-                takes_training && (not is_b) && (not budgeted)
-                && not (Hashtbl.mem vals (name ^ "_b"))
-              then
-                Some
-                  (Lint_finding.make ~rule:Lint_finding.R4 ~file:src.path
-                     ~loc:vd.pval_loc
-                     ~key:(Printf.sprintf "val:%s" name)
-                     (Printf.sprintf
-                        "solver entry point `%s` takes Labeling.training \
-                         but exports no budgeted `%s_b` counterpart \
-                         (?budget:Budget.t -> ... -> (_, Guard.failure) \
-                         result): unbudgeted callers can hang on \
-                         worst-case inputs"
-                        name name))
-              else None
-          | _ -> None)
-        signature

@@ -35,12 +35,5 @@ val r5_state : Lint_source.t -> Lint_finding.t list
 
 val r4_missing_mli :
   dir:string -> ml:string list -> mli:string list -> Lint_finding.t list
-(** R4a: every [.ml] basename in [ml] needs a matching basename in
+(** R4: every [.ml] basename in [ml] needs a matching basename in
     [mli]. Findings point at [dir/<file>.ml] line 1. *)
-
-val r4_interface : Lint_source.t -> Lint_finding.t list
-(** R4b, solver interfaces: every exported val taking a
-    [Labeling.training] argument (a decision-procedure entry point)
-    needs a budgeted [<name>_b] counterpart in the same signature,
-    unless it is itself budgeted (takes [?budget]) or is the [_b]
-    variant. *)

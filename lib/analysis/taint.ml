@@ -36,9 +36,7 @@ let source_head n =
    matter what flows in. *)
 let sanitizer_head n =
   match n with
-  | "Certify.hyperplane" | "Certify.hyperplane_b" | "Certify.farkas"
-  | "Rat.of_float" ->
-      true
+  | "Certify.hyperplane" | "Certify.farkas" | "Rat.of_float" -> true
   | _ -> false
 
 (* Modules whose results are clean by contract: the exact arithmetic

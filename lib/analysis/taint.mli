@@ -27,7 +27,7 @@
     [Rat.to_float] and the float-valued constants ([infinity], [nan],
     ...); unknown externals propagate the disjunction of their
     argument taints (so [ref]/[!]/[Array.get] behave naturally).
-    Sanitizers — [Certify.hyperplane]/[hyperplane_b]/[farkas] and the
+    Sanitizers — [Certify.hyperplane]/[farkas] and the
     exact [Rat.of_float] — return clean by contract, as do the trusted
     exact/bookkeeping modules ([Rat], [Bigint], [Budget], [Guard],
     [Runtime_state], string formatting). *)

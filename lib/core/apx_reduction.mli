@@ -27,8 +27,6 @@ type padded = {
 
 (** [pad ~eps t] builds the reduction instance.
     @raise Invalid_argument unless [0 ≤ eps < 1/2]. *)
-(* cqlint: allow R4 — deterministic polynomial construction that ticks
-   internally; no search to interrupt *)
 val pad : eps:Rat.t -> Labeling.training -> padded
 
 (** [copy_element ~copy e] is the renamed element of [e] in copy

@@ -61,28 +61,9 @@ let apx_classify ~m ?p ~eps (t : Labeling.training) eval_db =
       invalid_arg
         "Atoms_sep.apx_classify: no CQ[m] classifier within the error budget"
 
-(* --- budgeted variants ---------------------------------------------- *)
+(* --- budgeted variant ------------------------------------------------ *)
 
 let default_budget = function Some b -> b | None -> Budget.installed ()
 
-let separable_b ?budget ~m ?p t =
-  Guard.run (default_budget budget) (fun () -> separable ~m ?p t)
-
-let pruned_features_b ?budget ~m ?p t =
-  Guard.run (default_budget budget) (fun () -> pruned_features ~m ?p t)
-
-let generate_b ?budget ~m ?p t =
-  Guard.run (default_budget budget) (fun () -> generate ~m ?p t)
-
-let classify_b ?budget ~m ?p t eval_db =
-  Guard.run (default_budget budget) (fun () -> classify ~m ?p t eval_db)
-
 let min_errors_b ?budget ~m ?p ?cap t =
   Guard.run (default_budget budget) (fun () -> min_errors ~m ?p ?cap t)
-
-let apx_separable_b ?budget ~m ?p ~eps t =
-  Guard.run (default_budget budget) (fun () -> apx_separable ~m ?p ~eps t)
-
-let apx_classify_b ?budget ~m ?p ~eps t eval_db =
-  Guard.run (default_budget budget) (fun () ->
-      apx_classify ~m ?p ~eps t eval_db)

@@ -126,29 +126,9 @@ let apx_separable ~eps (t : Labeling.training) =
   (* separable with error eps iff disagreement ≤ eps·n *)
   Rat.compare (Rat.of_int disagreement) (Rat.mul eps (Rat.of_int n)) <= 0
 
-(* --- budgeted variants and the graceful-degradation ladder ---------- *)
+(* --- the graceful-degradation ladder ---------------------------------- *)
 
 let default_budget = function Some b -> b | None -> Budget.installed ()
-
-let separable_b ?budget t =
-  Guard.run (default_budget budget) (fun () -> separable t)
-
-let apx_relabel_b ?budget t =
-  Guard.run (default_budget budget) (fun () -> apx_relabel t)
-
-let chain_b ?budget t = Guard.run (default_budget budget) (fun () -> chain t)
-
-let inseparable_witness_b ?budget t =
-  Guard.run (default_budget budget) (fun () -> inseparable_witness t)
-
-let generate_b ?budget ?minimize t =
-  Guard.run (default_budget budget) (fun () -> generate ?minimize t)
-
-let classify_b ?budget t eval_db =
-  Guard.run (default_budget budget) (fun () -> classify t eval_db)
-
-let apx_separable_b ?budget ~eps t =
-  Guard.run (default_budget budget) (fun () -> apx_separable ~eps t)
 
 type provenance =
   | Exact

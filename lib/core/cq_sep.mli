@@ -46,40 +46,6 @@ val apx_relabel : Labeling.training -> Labeling.t * int
     [eps]. *)
 val apx_separable : eps:Rat.t -> Labeling.training -> bool
 
-(** [separable_b ?budget t] is {!separable} under [budget] (default:
-    the ambient budget): always returns, converting deadline/fuel
-    exhaustion into a structured [Error]. *)
-val separable_b :
-  ?budget:Budget.t -> Labeling.training -> (bool, Guard.failure) result
-
-(** [apx_relabel_b ?budget t] is {!apx_relabel} under [budget]. *)
-val apx_relabel_b :
-  ?budget:Budget.t -> Labeling.training ->
-  (Labeling.t * int, Guard.failure) result
-
-(** Budgeted counterparts of the remaining entry points, in the style
-    of {!separable_b}. *)
-
-val chain_b :
-  ?budget:Budget.t -> Labeling.training ->
-  (Preorder_chain.t, Guard.failure) result
-
-val inseparable_witness_b :
-  ?budget:Budget.t -> Labeling.training ->
-  ((Elem.t * Elem.t) option, Guard.failure) result
-
-val generate_b :
-  ?budget:Budget.t -> ?minimize:bool -> Labeling.training ->
-  ((Statistic.t * Linsep.classifier) option, Guard.failure) result
-
-val classify_b :
-  ?budget:Budget.t -> Labeling.training -> Db.t ->
-  (Labeling.t, Guard.failure) result
-
-val apx_separable_b :
-  ?budget:Budget.t -> eps:Rat.t -> Labeling.training ->
-  (bool, Guard.failure) result
-
 (** How a {!decide_with_fallback} answer was obtained. *)
 type provenance =
   | Exact  (** the exact CQ-Sep decision finished within budget *)

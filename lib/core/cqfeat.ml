@@ -176,26 +176,10 @@ let apx_classify ~eps lang t eval_db =
 
 let min_dimension ?max_dim lang t = Dim_sep.min_dimension ?max_dim lang t
 
-(* --- budgeted variants ---------------------------------------------- *)
+(* --- budgeted variant ------------------------------------------------ *)
 
 let default_budget = function Some b -> b | None -> Budget.installed ()
-
-let separable_b ?budget ?dim lang t =
-  Guard.run (default_budget budget) (fun () -> separable ?dim lang t)
-
-let apx_separable_b ?budget ?dim ~eps lang t =
-  Guard.run (default_budget budget) (fun () ->
-      apx_separable ?dim ~eps lang t)
 
 let generate_b ?budget ?ghw_depth ?dim lang t =
   Guard.run (default_budget budget) (fun () ->
       generate ?ghw_depth ?dim lang t)
-
-let classify_b ?budget ?dim lang t eval_db =
-  Guard.run (default_budget budget) (fun () -> classify ?dim lang t eval_db)
-
-let min_dimension_b ?budget ?max_dim lang t =
-  Guard.run (default_budget budget) (fun () -> min_dimension ?max_dim lang t)
-
-let apx_classify_b ?budget ~eps lang t eval_db =
-  Guard.run (default_budget budget) (fun () -> apx_classify ~eps lang t eval_db)

@@ -310,36 +310,3 @@ let qbe_to_sep ~l (inst : Qbe.instance) =
     @ List.map (fun e -> (e, Labeling.Neg)) (cminus :: inst.neg)
   in
   Labeling.training db (Labeling.of_list labeled)
-
-(* --- budgeted variants ---------------------------------------------- *)
-
-let default_budget = function Some b -> b | None -> Budget.installed ()
-
-let separable_b ?budget ~dim lang t =
-  Guard.run (default_budget budget) (fun () -> separable ~dim lang t)
-
-let realizable_sets_b ?budget lang t =
-  Guard.run (default_budget budget) (fun () -> realizable_sets lang t)
-
-let separable_with_sets_b ?budget ?seed_numeric ~dim ~sets t =
-  Guard.run (default_budget budget) (fun () ->
-      separable_with_sets ?seed_numeric ~dim ~sets t)
-
-let witness_with_sets_b ?budget ?seed_numeric ~dim ~sets t =
-  Guard.run (default_budget budget) (fun () ->
-      witness_with_sets ?seed_numeric ~dim ~sets t)
-
-let min_errors_with_sets_b ?budget ~dim ~sets ?cap t =
-  Guard.run (default_budget budget) (fun () ->
-      min_errors_with_sets ~dim ~sets ?cap t)
-
-let realize_set_b ?budget ?ghw_depth_cap lang t s =
-  Guard.run (default_budget budget) (fun () ->
-      realize_set ?ghw_depth_cap lang t s)
-
-let generate_b ?budget ?ghw_depth_cap ~dim lang t =
-  Guard.run (default_budget budget) (fun () ->
-      generate ?ghw_depth_cap ~dim lang t)
-
-let min_dimension_b ?budget ?max_dim lang t =
-  Guard.run (default_budget budget) (fun () -> min_dimension ?max_dim lang t)

@@ -57,13 +57,6 @@ val min_errors_with_sets :
     [ℓ = dim]. *)
 val separable : dim:int -> Language.t -> Labeling.training -> bool
 
-(** [separable_b ?budget ~dim lang t] is {!separable} under [budget]
-    (default: the ambient budget); resource exhaustion becomes a
-    structured [Error]. *)
-val separable_b :
-  ?budget:Budget.t -> dim:int -> Language.t -> Labeling.training ->
-  (bool, Guard.failure) result
-
 (** [realize_set ?ghw_depth_cap lang t s] materializes a feature query
     of [lang] whose indicator set over [t]'s training database is
     exactly [s] — the constructive step behind the (L,ℓ)-separability
@@ -96,41 +89,3 @@ val min_dimension : ?max_dim:int -> Language.t -> Labeling.training -> int optio
     restriction [S⁻ = dom(D) ∖ S⁺] (entities aside).
     @raise Budget.Exhausted with [Solver_error] if [l < 1]. *)
 val qbe_to_sep : l:int -> Qbe.instance -> Labeling.training
-
-(** Budgeted counterparts of the entry points above, in the style of
-    {!separable_b}: each runs under the given budget (default: the
-    ambient one) and converts resource exhaustion — and the structured
-    solver errors above — into an [Error]. *)
-
-val realizable_sets_b :
-  ?budget:Budget.t -> Language.t -> Labeling.training ->
-  (Elem.Set.t list, Guard.failure) result
-
-val separable_with_sets_b :
-  ?budget:Budget.t -> ?seed_numeric:bool ->
-  dim:int -> sets:Elem.Set.t list -> Labeling.training ->
-  (bool, Guard.failure) result
-
-val witness_with_sets_b :
-  ?budget:Budget.t -> ?seed_numeric:bool ->
-  dim:int -> sets:Elem.Set.t list -> Labeling.training ->
-  ((Elem.Set.t list * Linsep.classifier) option, Guard.failure) result
-
-val min_errors_with_sets_b :
-  ?budget:Budget.t -> dim:int -> sets:Elem.Set.t list -> ?cap:int ->
-  Labeling.training ->
-  ((int * Elem.Set.t list * Linsep.classifier) option, Guard.failure) result
-
-val realize_set_b :
-  ?budget:Budget.t -> ?ghw_depth_cap:int -> Language.t -> Labeling.training ->
-  Elem.Set.t -> (Cq.t option, Guard.failure) result
-
-val generate_b :
-  ?budget:Budget.t -> ?ghw_depth_cap:int -> dim:int -> Language.t ->
-  Labeling.training ->
-  ((Cq.t list * Linsep.classifier) option, Guard.failure) result
-
-val min_dimension_b :
-  ?budget:Budget.t -> ?max_dim:int -> Language.t -> Labeling.training ->
-  (int option, Guard.failure) result
-

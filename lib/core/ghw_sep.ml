@@ -56,31 +56,3 @@ let apx_classify ~k (t : Labeling.training) eval_db =
   let ch = chain ~k t in
   let labels, disagreement = Preorder_chain.majority_labels ch t.labeling in
   (label_eval ~k t ch labels eval_db, disagreement)
-
-(* --- budgeted variants ---------------------------------------------- *)
-
-let default_budget = function Some b -> b | None -> Budget.installed ()
-
-let separable_b ?budget ~k t =
-  Guard.run (default_budget budget) (fun () -> separable ~k t)
-
-let chain_b ?budget ~k t =
-  Guard.run (default_budget budget) (fun () -> chain ~k t)
-
-let inseparable_witness_b ?budget ~k t =
-  Guard.run (default_budget budget) (fun () -> inseparable_witness ~k t)
-
-let classify_b ?budget ~k t eval_db =
-  Guard.run (default_budget budget) (fun () -> classify ~k t eval_db)
-
-let generate_b ?budget ~k ~depth t =
-  Guard.run (default_budget budget) (fun () -> generate ~k ~depth t)
-
-let apx_relabel_b ?budget ~k t =
-  Guard.run (default_budget budget) (fun () -> apx_relabel ~k t)
-
-let apx_separable_b ?budget ~k ~eps t =
-  Guard.run (default_budget budget) (fun () -> apx_separable ~k ~eps t)
-
-let apx_classify_b ?budget ~k t eval_db =
-  Guard.run (default_budget budget) (fun () -> apx_classify ~k t eval_db)

@@ -20,13 +20,6 @@ val chain : k:int -> Labeling.training -> Preorder_chain.t
 (** [separable ~k t] decides GHW(k)-Sep in polynomial time. *)
 val separable : k:int -> Labeling.training -> bool
 
-(** [separable_b ?budget ~k t] is {!separable} under [budget]
-    (default: the ambient budget); resource exhaustion becomes a
-    structured [Error]. *)
-val separable_b :
-  ?budget:Budget.t -> k:int -> Labeling.training ->
-  (bool, Guard.failure) result
-
 (** [inseparable_witness ~k t] returns an oppositely-labeled
     [→_k]-equivalent pair when not separable. *)
 val inseparable_witness : k:int -> Labeling.training -> (Elem.t * Elem.t) option
@@ -57,36 +50,3 @@ val apx_separable : k:int -> eps:Rat.t -> Labeling.training -> bool
     on the Algorithm-2 relabeling (Corollary 7.5). Returns the
     evaluation labeling and the training error incurred. *)
 val apx_classify : k:int -> Labeling.training -> Db.t -> Labeling.t * int
-
-(** Budgeted counterparts of the entry points above, in the style of
-    {!separable_b}: each runs under the given budget (default: the
-    ambient one) and converts resource exhaustion into a structured
-    [Error]. *)
-
-val chain_b :
-  ?budget:Budget.t -> k:int -> Labeling.training ->
-  (Preorder_chain.t, Guard.failure) result
-
-val inseparable_witness_b :
-  ?budget:Budget.t -> k:int -> Labeling.training ->
-  ((Elem.t * Elem.t) option, Guard.failure) result
-
-val classify_b :
-  ?budget:Budget.t -> k:int -> Labeling.training -> Db.t ->
-  (Labeling.t, Guard.failure) result
-
-val generate_b :
-  ?budget:Budget.t -> k:int -> depth:int -> Labeling.training ->
-  ((Statistic.t * Linsep.classifier) option, Guard.failure) result
-
-val apx_relabel_b :
-  ?budget:Budget.t -> k:int -> Labeling.training ->
-  (Labeling.t * int, Guard.failure) result
-
-val apx_separable_b :
-  ?budget:Budget.t -> k:int -> eps:Rat.t -> Labeling.training ->
-  (bool, Guard.failure) result
-
-val apx_classify_b :
-  ?budget:Budget.t -> k:int -> Labeling.training -> Db.t ->
-  (Labeling.t * int, Guard.failure) result

@@ -26,18 +26,13 @@ val vectors : t -> Db.t -> (Elem.t * int array) list
 
 (** [examples stat t] is the training collection
     [(Π^D(e), λ(e))_{e ∈ η(D)}]. *)
-(* cqlint: allow R4 — one evaluation pass per feature; the CQ evaluators
-   inside tick, so callers budget at the Cqfeat/Atoms_sep entry points *)
 val examples : t -> Labeling.training -> Linsep.example list
 
 (** [separating_classifier stat t] finds a linear classifier [Λ] such
     that [(stat, Λ)] separates [t], if any (LP-based). *)
-(* cqlint: allow R4 — thin wrapper over Linsep.separable, whose simplex
-   ticks; callers budget at the Cqfeat/Atoms_sep entry points *)
 val separating_classifier : t -> Labeling.training -> Linsep.classifier option
 
 (** [separates stat t] is [separating_classifier stat t <> None]. *)
-(* cqlint: allow R4 — thin wrapper over separating_classifier *)
 val separates : t -> Labeling.training -> bool
 
 (** [induced_labeling stat classifier db] is the labeling
@@ -46,8 +41,6 @@ val induced_labeling : t -> Linsep.classifier -> Db.t -> Labeling.t
 
 (** [errors stat classifier t] counts training entities on which the
     induced labeling disagrees with [t]'s labeling. *)
-(* cqlint: allow R4 — one linear counting pass over the ticking
-   evaluators; callers budget at the Cqfeat/Atoms_sep entry points *)
 val errors : t -> Linsep.classifier -> Labeling.training -> int
 
 (** [max_atoms stat] is the largest atom count among the features. *)

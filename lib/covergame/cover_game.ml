@@ -497,17 +497,6 @@ let preorder ?(transitive_pruning = true) ~k d entities =
   done;
   m
 
-let default_budget = function
-  | Some b -> b
-  | None -> Budget.installed ()
-
-let holds_b ?budget ~k (d, tuple) (d', tuple') =
-  Guard.run (default_budget budget) (fun () -> holds ~k (d, tuple) (d', tuple'))
-
-let preorder_b ?budget ?transitive_pruning ~k d entities =
-  Guard.run (default_budget budget) (fun () ->
-      preorder ?transitive_pruning ~k d entities)
-
 let equiv_classes ~k d entities =
   let ents = Array.of_list entities in
   let n = Array.length ents in

@@ -81,19 +81,6 @@ val boolean : k:int -> Db.t -> Db.t -> bool
 val preorder :
   ?transitive_pruning:bool -> k:int -> Db.t -> Elem.t list -> bool array array
 
-(** [holds_b ?budget ~k pd pd'] is {!holds} run under [budget]
-    (default: the ambient budget): always returns, converting resource
-    exhaustion into [Error]. *)
-val holds_b :
-  ?budget:Budget.t -> k:int -> Db.t * Elem.t list -> Db.t * Elem.t list ->
-  (bool, Guard.failure) result
-
-(** [preorder_b ?budget ?transitive_pruning ~k d entities] is the
-    budgeted {!preorder}. *)
-val preorder_b :
-  ?budget:Budget.t -> ?transitive_pruning:bool -> k:int -> Db.t ->
-  Elem.t list -> (bool array array, Guard.failure) result
-
 (** [equiv_classes ~k d entities] groups entities by mutual [→_k]
     (the classes [[e]] of Algorithm 2), returned with representatives
     first. *)

@@ -99,13 +99,3 @@ let classify_with_formula (t : Labeling.training) eval_db =
           in
           Labeling.set f label acc)
         Labeling.empty (Db.entities eval_db)
-
-(* --- budgeted variants ---------------------------------------------- *)
-
-let default_budget = function Some b -> b | None -> Budget.installed ()
-
-let generate_b ?budget t =
-  Guard.run (default_budget budget) (fun () -> generate t)
-
-let classify_with_formula_b ?budget t eval_db =
-  Guard.run (default_budget budget) (fun () -> classify_with_formula t eval_db)

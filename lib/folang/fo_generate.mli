@@ -29,15 +29,3 @@ val generate : Labeling.training -> Fo_formula.t option
     [Neg].
     @raise Invalid_argument if [t] is not FO-separable. *)
 val classify_with_formula : Labeling.training -> Db.t -> Labeling.t
-
-(** Budgeted counterparts of the entry points above: each runs under
-    the given budget (default: the ambient one) and converts resource
-    exhaustion into a structured [Error]. *)
-
-val generate_b :
-  ?budget:Budget.t -> Labeling.training ->
-  (Fo_formula.t option, Guard.failure) result
-
-val classify_with_formula_b :
-  ?budget:Budget.t -> Labeling.training -> Db.t ->
-  (Labeling.t, Guard.failure) result

@@ -12,14 +12,6 @@ let fo_inseparable_witness (t : Labeling.training) =
 
 let fo_separable t = fo_inseparable_witness t = None
 
-let default_budget = function Some b -> b | None -> Budget.installed ()
-
-let fo_separable_b ?budget t =
-  Guard.run (default_budget budget) (fun () -> fo_separable t)
-
-let fo_inseparable_witness_b ?budget t =
-  Guard.run (default_budget budget) (fun () -> fo_inseparable_witness t)
-
 let epfo_separable (t : Labeling.training) =
   not
     (List.exists
@@ -44,12 +36,6 @@ let group_by_iso db entities =
 
 let iso_classes (t : Labeling.training) =
   group_by_iso t.db (Db.entities t.db)
-
-let epfo_separable_b ?budget t =
-  Guard.run (default_budget budget) (fun () -> epfo_separable t)
-
-let iso_classes_b ?budget t =
-  Guard.run (default_budget budget) (fun () -> iso_classes t)
 
 let fo_classify (t : Labeling.training) eval_db =
   if not (fo_separable t) then
@@ -78,6 +64,3 @@ let fo_classify (t : Labeling.training) eval_db =
       in
       Labeling.set f label acc)
     Labeling.empty (Db.entities eval_db)
-
-let fo_classify_b ?budget t eval_db =
-  Guard.run (default_budget budget) (fun () -> fo_classify t eval_db)

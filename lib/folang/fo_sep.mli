@@ -14,12 +14,6 @@
     entities with [(D,e) ≅ (D,e')]. *)
 val fo_separable : Labeling.training -> bool
 
-(** [fo_separable_b ?budget t] is {!fo_separable} run under [budget]
-    (default: the ambient budget): always returns, converting resource
-    exhaustion into [Error]. *)
-val fo_separable_b :
-  ?budget:Budget.t -> Labeling.training -> (bool, Guard.failure) result
-
 (** [fo_inseparable_witness t] returns an oppositely-labeled isomorphic
     pair when FO-separation is impossible. *)
 val fo_inseparable_witness : Labeling.training -> (Elem.t * Elem.t) option
@@ -40,23 +34,3 @@ val epfo_separable : Labeling.training -> bool
     their pointed database — the finest partition any FO statistic can
     induce. *)
 val iso_classes : Labeling.training -> Elem.t list list
-
-(** Budgeted counterparts of the entry points above, in the style of
-    {!fo_separable_b}: each runs under the given budget (default: the
-    ambient one) and converts resource exhaustion into a structured
-    [Error]. *)
-
-val fo_inseparable_witness_b :
-  ?budget:Budget.t -> Labeling.training ->
-  ((Elem.t * Elem.t) option, Guard.failure) result
-
-val fo_classify_b :
-  ?budget:Budget.t -> Labeling.training -> Db.t ->
-  (Labeling.t, Guard.failure) result
-
-val epfo_separable_b :
-  ?budget:Budget.t -> Labeling.training -> (bool, Guard.failure) result
-
-val iso_classes_b :
-  ?budget:Budget.t -> Labeling.training ->
-  (Elem.t list list, Guard.failure) result

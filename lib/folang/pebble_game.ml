@@ -192,16 +192,3 @@ let fok_classify ~k (t : Labeling.training) eval_db =
       in
       Labeling.set f label acc)
     Labeling.empty (Db.entities eval_db)
-
-(* --- budgeted variants ---------------------------------------------- *)
-
-let default_budget = function Some b -> b | None -> Budget.installed ()
-
-let fok_separable_b ?budget ~k t =
-  Guard.run (default_budget budget) (fun () -> fok_separable ~k t)
-
-let fok_inseparable_witness_b ?budget ~k t =
-  Guard.run (default_budget budget) (fun () -> fok_inseparable_witness ~k t)
-
-let fok_classify_b ?budget ~k t eval_db =
-  Guard.run (default_budget budget) (fun () -> fok_classify ~k t eval_db)

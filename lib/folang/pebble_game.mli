@@ -37,19 +37,3 @@ val fok_inseparable_witness :
     structures is FO_k-definable).
     @raise Invalid_argument if [t] is not FO_k-separable. *)
 val fok_classify : k:int -> Labeling.training -> Db.t -> Labeling.t
-
-(** Budgeted counterparts of the entry points above: each runs under
-    the given budget (default: the ambient one) and converts resource
-    exhaustion into a structured [Error]. *)
-
-val fok_separable_b :
-  ?budget:Budget.t -> k:int -> Labeling.training ->
-  (bool, Guard.failure) result
-
-val fok_inseparable_witness_b :
-  ?budget:Budget.t -> k:int -> Labeling.training ->
-  ((Elem.t * Elem.t) option, Guard.failure) result
-
-val fok_classify_b :
-  ?budget:Budget.t -> k:int -> Labeling.training -> Db.t ->
-  (Labeling.t, Guard.failure) result

@@ -100,11 +100,6 @@ let hyperplane ~weights examples =
               "no threshold separates: a negative margin reaches the \
                smallest positive margin")
 
-let hyperplane_b ?budget ~weights examples =
-  Guard.run
-    (match budget with Some b -> b | None -> Budget.installed ())
-    (fun () -> hyperplane ~weights examples)
-
 (* --- Farkas (infeasibility) certificates ----------------------------- *)
 
 (* Reduced row echelon form in place; returns the pivot (row, col)
@@ -306,8 +301,3 @@ let farkas ~mu examples =
             (Inconclusive "empty support prefix")
     end
   end
-
-let farkas_b ?budget ~mu examples =
-  Guard.run
-    (match budget with Some b -> b | None -> Budget.installed ())
-    (fun () -> farkas ~mu examples)

@@ -35,12 +35,6 @@ val hyperplane :
   Linsep.example list ->
   Linsep.classifier verdict
 
-val hyperplane_b :
-  ?budget:Budget.t ->
-  weights:float array ->
-  Linsep.example list ->
-  (Linsep.classifier verdict, Guard.failure) result
-
 (** [farkas ~mu examples] certifies an infeasibility claim for the
     separation system (positive rows [(b̄,-1)·x ≥ 0], negative rows
     [(b̄,-1)·x ≤ -1]). Only the {e support} of the float multipliers
@@ -55,9 +49,3 @@ val hyperplane_b :
     @raise Invalid_argument when [mu] and [examples] disagree in
     length, or on a dimension mismatch. *)
 val farkas : mu:float array -> Linsep.example list -> unit verdict
-
-val farkas_b :
-  ?budget:Budget.t ->
-  mu:float array ->
-  Linsep.example list ->
-  (unit verdict, Guard.failure) result

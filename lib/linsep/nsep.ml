@@ -278,11 +278,6 @@ let decide ?tier ?(escalate = true) examples =
       end
     end
 
-let decide_b ?budget ?tier ?escalate examples =
-  Guard.run
-    (match budget with Some b -> b | None -> Budget.installed ())
-    (fun () -> decide ?tier ?escalate examples)
-
 let decide_with_fallback ?budget ?(runner = Guard.runner) ?tier examples =
   let b = match budget with Some b -> b | None -> Budget.installed () in
   (* One deadline for the ladder, fuel refilled per rung — mirroring

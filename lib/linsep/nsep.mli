@@ -66,15 +66,6 @@ val current_tier : unit -> tier
     surfaces as [Unknown] with the guard/certification reason. *)
 val decide : ?tier:tier -> ?escalate:bool -> Linsep.example list -> answer
 
-(** [decide_b ?budget ?tier ?escalate examples] is {!decide} under
-    {!Guard.run} (default: the ambient budget). *)
-val decide_b :
-  ?budget:Budget.t ->
-  ?tier:tier ->
-  ?escalate:bool ->
-  Linsep.example list ->
-  (answer, Guard.failure) result
-
 (** [decide_with_fallback ?budget ?runner ?tier examples] is the
     graceful-degradation ladder in the style of
     [Cq_sep.decide_with_fallback]: the numeric rung runs with

@@ -222,11 +222,6 @@ let fit ?(config = default_config) ~xs ~ys () =
     objective = !obj;
   }
 
-let fit_b ?budget ?config ~xs ~ys () =
-  Guard.run
-    (match budget with Some b -> b | None -> Budget.installed ())
-    (fun () -> fit ?config ~xs ~ys ())
-
 let support ?(threshold = 1e-6) fit =
   let out = ref [] in
   for j = Array.length fit.weights - 1 downto 0 do

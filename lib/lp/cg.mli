@@ -47,16 +47,6 @@ type fit = {
     outside {±1}, [max_iters < 0], or [l1_eps <= 0]. *)
 val fit : ?config:config -> xs:float array array -> ys:float array -> unit -> fit
 
-(** [fit_b ?budget ?config ~xs ~ys ()] is {!fit} under {!Guard.run}
-    (default: the ambient budget). *)
-val fit_b :
-  ?budget:Budget.t ->
-  ?config:config ->
-  xs:float array array ->
-  ys:float array ->
-  unit ->
-  (fit, Guard.failure) result
-
 (** [support ?threshold f] is the sorted list of coordinates whose
     fitted weight magnitude exceeds [threshold] (default 1e-6) — the
     candidate minimal separating statistic under the l1 path. *)

@@ -259,8 +259,3 @@ let feasible ~nvars ~rows () =
     done;
     Feasible (x, quality)
   end
-
-let feasible_b ?budget ~nvars ~rows () =
-  Guard.run
-    (match budget with Some b -> b | None -> Budget.installed ())
-    (fun () -> feasible ~nvars ~rows ())

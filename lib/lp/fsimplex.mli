@@ -45,12 +45,3 @@ val well_conditioned : ?max_growth:float -> ?min_pivot:float -> quality -> bool
     @raise Invalid_argument on a row length mismatch or a non-finite
     coefficient. *)
 val feasible : nvars:int -> rows:row list -> unit -> outcome
-
-(** [feasible_b ?budget ~nvars ~rows ()] is {!feasible} under
-    {!Guard.run} (default: the ambient budget). *)
-val feasible_b :
-  ?budget:Budget.t ->
-  nvars:int ->
-  rows:row list ->
-  unit ->
-  (outcome, Guard.failure) result

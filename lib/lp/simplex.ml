@@ -250,16 +250,6 @@ let feasible ~nvars ~rows () =
   | Optimal (x, _) | Unbounded x -> Some x
   | Infeasible -> None
 
-let solve_b ?budget ~nvars ~rows ~objective () =
-  Guard.run
-    (match budget with Some b -> b | None -> Budget.installed ())
-    (fun () -> solve ~nvars ~rows ~objective ())
-
-let feasible_b ?budget ~nvars ~rows () =
-  Guard.run
-    (match budget with Some b -> b | None -> Budget.installed ())
-    (fun () -> feasible ~nvars ~rows ())
-
 let check_solution ~rows x =
   List.for_all
     (fun { coeffs; op; rhs } ->

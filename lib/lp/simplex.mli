@@ -28,23 +28,12 @@ type outcome =
     of the ambient fuel budget.
     @raise Invalid_argument on dimension mismatch.
     @raise Budget.Exhausted when the ambient budget or the internal
-    pivot cap is exceeded (use {!solve_b} for a total variant). *)
+    pivot cap is exceeded (run it under {!Guard.run} for a total
+    variant). *)
 val solve : nvars:int -> rows:row list -> objective:Rat.t array -> unit -> outcome
 
 (** [feasible ~nvars ~rows ()] finds any point satisfying [rows]. *)
 val feasible : nvars:int -> rows:row list -> unit -> Rat.t array option
-
-(** [solve_b ?budget ~nvars ~rows ~objective ()] is {!solve} run under
-    [budget] (default: the ambient budget): always returns, converting
-    exhaustion and pivot-cap hits into [Error]. *)
-val solve_b :
-  ?budget:Budget.t -> nvars:int -> rows:row list -> objective:Rat.t array ->
-  unit -> (outcome, Guard.failure) result
-
-(** [feasible_b ?budget ~nvars ~rows ()] is the budgeted {!feasible}. *)
-val feasible_b :
-  ?budget:Budget.t -> nvars:int -> rows:row list -> unit ->
-  (Rat.t array option, Guard.failure) result
 
 (** [check_solution ~rows x] verifies that [x] satisfies every row
     (exact arithmetic, used by tests and defensive callers). *)

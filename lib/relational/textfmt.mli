@@ -40,7 +40,6 @@ val parse_file : string -> document
 val training_of_document : document -> Labeling.training
 
 (** [print_training t] renders a training database in the format above. *)
-(* cqlint: allow R4 — pure printer, one linear pass over the input *)
 val print_training : Labeling.training -> string
 
 (** [print_db db] renders a plain database ([?] lines for entities). *)

@@ -1,5 +1,5 @@
-(* Chaos suite: drive the budgeted entry points through thousands of
-   seeded interruption points and prove the abort-safety contract:
+(* Chaos suite: drive the solver entry points under [Guard.run] through
+   thousands of seeded interruption points and prove the abort-safety contract:
 
    - no exception escapes [Guard.run] — every chaos abort surfaces as
      a structured resource failure;
@@ -174,7 +174,8 @@ let cases =
       budgeted =
         (fun b ->
           Result.map string_of_bool
-            (Cq_sep.separable_b ~budget:b (Lazy.force mixed_training)));
+            (Guard.run b (fun () ->
+                 Cq_sep.separable (Lazy.force mixed_training))));
     };
     {
       c_name = "cq_sep.inseparable_witness";
@@ -184,7 +185,8 @@ let cases =
       budgeted =
         (fun b ->
           Result.map show_witness
-            (Cq_sep.inseparable_witness_b ~budget:b (Lazy.force path_training)));
+            (Guard.run b (fun () ->
+                 Cq_sep.inseparable_witness (Lazy.force path_training))));
     };
     {
       c_name = "cq_sep.classify";
@@ -195,9 +197,10 @@ let cases =
       budgeted =
         (fun b ->
           Result.map show_labeling
-            (Cq_sep.classify_b ~budget:b
-               (Lazy.force positive_training)
-               (Lazy.force eval_db)));
+            (Guard.run b (fun () ->
+                 Cq_sep.classify
+                   (Lazy.force positive_training)
+                   (Lazy.force eval_db))));
     };
     {
       c_name = "cqfeat.separable(ghw1)";
@@ -208,8 +211,8 @@ let cases =
       budgeted =
         (fun b ->
           Result.map string_of_bool
-            (Cqfeat.separable_b ~budget:b (Language.Ghw 1)
-               (Lazy.force mixed_training)));
+            (Guard.run b (fun () ->
+                 Cqfeat.separable (Language.Ghw 1) (Lazy.force mixed_training))));
     };
     {
       c_name = "atoms_sep.min_errors(m=1)";
@@ -224,7 +227,8 @@ let cases =
             (function
               | Some (k, _, _) -> string_of_int k
               | None -> "none")
-            (Atoms_sep.min_errors_b ~budget:b ~m:1 (Lazy.force mixed_training)));
+            (Guard.run b (fun () ->
+                 Atoms_sep.min_errors ~m:1 (Lazy.force mixed_training))));
     };
     {
       c_name = "fo_sep.fo_separable";
@@ -234,7 +238,8 @@ let cases =
       budgeted =
         (fun b ->
           Result.map string_of_bool
-            (Fo_sep.fo_separable_b ~budget:b (Lazy.force mixed_training)));
+            (Guard.run b (fun () ->
+                 Fo_sep.fo_separable (Lazy.force mixed_training))));
     };
     {
       c_name = "pebble_game.fok_separable(k=2)";
@@ -245,8 +250,8 @@ let cases =
       budgeted =
         (fun b ->
           Result.map string_of_bool
-            (Pebble_game.fok_separable_b ~budget:b ~k:2
-               (Lazy.force mixed_training)));
+            (Guard.run b (fun () ->
+                 Pebble_game.fok_separable ~k:2 (Lazy.force mixed_training))));
     };
     {
       c_name = "simplex.solve";
@@ -258,14 +263,15 @@ let cases =
         (fun b ->
           let rows, objective = box_lp 4 in
           Result.map show_lp
-            (Simplex.solve_b ~budget:b ~nvars:4 ~rows ~objective ()));
+            (Guard.run b (fun () -> Simplex.solve ~nvars:4 ~rows ~objective ())));
     };
     {
       c_name = "nsep.decide(sat)";
       reference = (fun () -> show_nsep (Nsep.decide (Lazy.force linsep_sat)));
       budgeted =
         (fun b ->
-          Result.map show_nsep (Nsep.decide_b ~budget:b (Lazy.force linsep_sat)));
+          Result.map show_nsep
+            (Guard.run b (fun () -> Nsep.decide (Lazy.force linsep_sat))));
     };
     {
       c_name = "nsep.decide(mixed)";
@@ -273,7 +279,7 @@ let cases =
       budgeted =
         (fun b ->
           Result.map show_nsep
-            (Nsep.decide_b ~budget:b (Lazy.force linsep_mixed)));
+            (Guard.run b (fun () -> Nsep.decide (Lazy.force linsep_mixed))));
     };
     {
       c_name = "fsimplex.feasible";
@@ -285,7 +291,7 @@ let cases =
         (fun b ->
           let nvars, rows = linsep_lp (Lazy.force linsep_sat) in
           Result.map show_fsimplex
-            (Fsimplex.feasible_b ~budget:b ~nvars ~rows ()));
+            (Guard.run b (fun () -> Fsimplex.feasible ~nvars ~rows ())));
     };
     {
       c_name = "cg.fit";
@@ -296,7 +302,7 @@ let cases =
       budgeted =
         (fun b ->
           let xs, ys = cg_input (Lazy.force linsep_sat) in
-          Result.map show_cg (Cg.fit_b ~budget:b ~xs ~ys ()));
+          Result.map show_cg (Guard.run b (fun () -> Cg.fit ~xs ~ys ())));
     };
     {
       c_name = "certify.hyperplane";
@@ -308,8 +314,9 @@ let cases =
       budgeted =
         (fun b ->
           Result.map Certify.verdict_label
-            (Certify.hyperplane_b ~budget:b ~weights:[| 1.0; 1.0; 1.0; 1.0 |]
-               (Lazy.force linsep_mixed)));
+            (Guard.run b (fun () ->
+                 Certify.hyperplane ~weights:[| 1.0; 1.0; 1.0; 1.0 |]
+                   (Lazy.force linsep_mixed))));
     };
   ]
 

@@ -225,6 +225,32 @@ let test_model_lifecycle () =
       check int_c "lifecycle labels agree" 0
         (Labeling.disagreement predicted eval.Labeling.labeling)
 
+(* cqsep classify retries a fuel-exhausted attempt. Each attempt runs
+   the plain solver under the runner, so exhaustion reaches
+   Guard.retrying and the next attempt gets 4x the fuel (100, 400,
+   1600, 6400); 1600 is enough for the Example 6.2 database. *)
+let run_cqsep args =
+  let exe = "../bin/cqsep.exe" in
+  let ic = Unix.open_process_args_in exe (Array.of_list (exe :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED code -> (code, out)
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> Alcotest.fail "cqsep was signalled"
+
+let test_classify_retry () =
+  let args =
+    [
+      "classify"; "../data/example62.db"; "../data/example62_eval.db";
+      "--fuel"; "100";
+    ]
+  in
+  check
+    Alcotest.(pair int string)
+    "--retry 3 escalates fuel until the run succeeds" (0, "+d\n-e\n")
+    (run_cqsep (args @ [ "--retry"; "3" ]));
+  check int_c "without --retry fuel 100 is exhausted (exit 3)" 3
+    (fst (run_cqsep args))
+
 let () =
   Alcotest.run "integration"
     [
@@ -239,5 +265,7 @@ let () =
           Alcotest.test_case "ternary schema" `Quick test_ternary_schema;
           Alcotest.test_case "dot export" `Quick test_dot_export;
           Alcotest.test_case "model lifecycle" `Quick test_model_lifecycle;
+          Alcotest.test_case "cqsep classify --retry" `Quick
+            test_classify_retry;
         ] );
     ]

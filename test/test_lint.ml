@@ -58,13 +58,13 @@ let test_r3_suppressed () =
     (rule_keys (lint "bad_r3_suppressed.ml"))
 
 let test_r4_fires () =
-  check keys_c "entry point without a _b counterpart"
-    [ ("R4", "val:solve") ]
-    (rule_keys (lint "bad_r4.mli"))
-
-let test_r4_suppressed () =
-  check keys_c "reasoned directives silence R4" []
-    (rule_keys (lint "bad_r4_suppressed.mli"))
+  let r4 ~ml ~mli =
+    rule_keys (Lint_rules.r4_missing_mli ~dir:"lib/x" ~ml ~mli)
+  in
+  check keys_c "an .ml without an .mli" [ ("R4", "mli:lone") ]
+    (r4 ~ml:[ "lone.ml"; "paired.ml" ] ~mli:[ "paired.mli" ]);
+  check keys_c "an .ml with its .mli is silent" []
+    (r4 ~ml:[ "paired.ml" ] ~mli:[ "paired.mli" ])
 
 let test_r5_fires () =
   check keys_c "unregistered top-level mutable state (locals exempt)"
@@ -167,7 +167,6 @@ let () =
           Alcotest.test_case "R3 fires" `Quick test_r3_fires;
           Alcotest.test_case "R3 suppressed" `Quick test_r3_suppressed;
           Alcotest.test_case "R4 fires" `Quick test_r4_fires;
-          Alcotest.test_case "R4 suppressed" `Quick test_r4_suppressed;
           Alcotest.test_case "R5 fires" `Quick test_r5_fires;
           Alcotest.test_case "R5 suppressed" `Quick test_r5_suppressed;
           Alcotest.test_case "R5 registered clean" `Quick

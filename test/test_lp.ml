@@ -221,7 +221,7 @@ let test_beale_cycling () =
       check bool_c "objective -1/20" true (Rat.equal v (Rat.of_ints (-1) 20))
   | _ -> Alcotest.fail "expected optimal"
 
-let test_solve_b_fuel () =
+let test_solve_fuel () =
   let rows =
     [
       r [ 1; 1 ] Simplex.Le 3;
@@ -231,18 +231,16 @@ let test_solve_b_fuel () =
   in
   (* fuel 1: the first pivot tick must surface as a structured error *)
   (match
-     Simplex.solve_b
-       ~budget:(Budget.make ~fuel:1 ())
-       ~nvars:2 ~rows ~objective:(obj [ -1; -1 ]) ()
+     Guard.run (Budget.make ~fuel:1 ()) (fun () ->
+         Simplex.solve ~nvars:2 ~rows ~objective:(obj [ -1; -1 ]) ())
    with
   | Error (Guard.Fuel_exhausted _) -> ()
   | Error f -> Alcotest.failf "unexpected failure %s" (Guard.failure_to_string f)
   | Ok _ -> Alcotest.fail "expected fuel exhaustion");
   (* a generous budget must agree with the unbudgeted solver *)
   match
-    Simplex.solve_b
-      ~budget:(Budget.make ~fuel:1_000_000 ())
-      ~nvars:2 ~rows ~objective:(obj [ -1; -1 ]) ()
+    Guard.run (Budget.make ~fuel:1_000_000 ()) (fun () ->
+        Simplex.solve ~nvars:2 ~rows ~objective:(obj [ -1; -1 ]) ())
   with
   | Ok (Simplex.Optimal (_, v)) ->
       check bool_c "objective -3" true (Rat.equal v (Rat.of_int (-3)))
@@ -264,7 +262,7 @@ let () =
           Alcotest.test_case "rational coefficients" `Quick test_rational_coefficients;
           Alcotest.test_case "zero rows" `Quick test_zero_rows;
           Alcotest.test_case "Beale cycling LP" `Quick test_beale_cycling;
-          Alcotest.test_case "budgeted solve" `Quick test_solve_b_fuel;
+          Alcotest.test_case "budgeted solve" `Quick test_solve_fuel;
           qcheck prop_feasible_by_construction;
           qcheck prop_optimal_is_exact_on_box;
         ] );

@@ -1,9 +1,9 @@
-(* Tests for the budgeted runtime (Budget + Guard), the budgeted
-   solver entry points, and the graceful-degradation ladder.
+(* Tests for the budgeted runtime (Budget + Guard), solver entry points
+   run under Guard.run, and the graceful-degradation ladder.
 
    The fault-injection properties run real solvers under tiny budgets
-   with randomized exhaustion points: whatever the budget, a budgeted
-   entry point must either agree with its unbudgeted counterpart or
+   with randomized exhaustion points: whatever the budget, an entry
+   point under Guard.run must either agree with its unbudgeted run or
    fail with a clean structured resource failure — never hang, never
    leak an exception. *)
 
@@ -224,7 +224,7 @@ let test_budget_refresh () =
   check bool_c "refilled" true
     (Budget.remaining_fuel (Budget.refresh b) = Some 10)
 
-(* --- fault injection: budgeted entry points ------------------------- *)
+(* --- fault injection: entry points under Guard.run ------------------- *)
 
 let langs =
   [
@@ -235,11 +235,11 @@ let langs =
     Language.Fo_k 2;
   ]
 
-(* Under a random tiny budget, [separable_b] either agrees with the
-   unbudgeted decision or reports a resource failure. *)
-let prop_separable_b_agrees =
+(* Under [Guard.run] with a random tiny budget, [separable] either
+   agrees with the unbudgeted decision or reports a resource failure. *)
+let prop_separable_agrees =
   QCheck.Test.make ~count:50
-    ~name:"separable_b: Ok agrees with unbudgeted, Error is structured"
+    ~name:"separable: Ok agrees with unbudgeted, Error is structured"
     (QCheck.pair (labeled_spec_arb ~max_nodes:4 ~max_edges:5)
        (QCheck.int_range 1 200))
     (fun (ls, fuel) ->
@@ -248,15 +248,15 @@ let prop_separable_b_agrees =
         (fun lang ->
           let expected = Cqfeat.separable lang t in
           match
-            Cqfeat.separable_b ~budget:(Budget.make ~fuel ()) lang t
+            Guard.run (Budget.make ~fuel ()) (fun () -> Cqfeat.separable lang t)
           with
           | Ok b -> b = expected
           | Error f -> Guard.is_resource_failure f)
         langs)
 
-let prop_simplex_b_structured =
+let prop_simplex_structured =
   QCheck.Test.make ~count:100
-    ~name:"Simplex.solve_b under tiny fuel: agree or structured failure"
+    ~name:"Simplex.solve under tiny fuel: agree or structured failure"
     (QCheck.pair (QCheck.int_range 1 60) (QCheck.int_range 1 6))
     (fun (fuel, n) ->
       (* box LP: minimize -sum x_i subject to 0 <= x_i <= i+1 *)
@@ -276,8 +276,8 @@ let prop_simplex_b_structured =
       let objective = Array.make n Rat.minus_one in
       let expected = Simplex.solve ~nvars:n ~rows ~objective () in
       match
-        Simplex.solve_b ~budget:(Budget.make ~fuel ()) ~nvars:n ~rows
-          ~objective ()
+        Guard.run (Budget.make ~fuel ()) (fun () ->
+            Simplex.solve ~nvars:n ~rows ~objective ())
       with
       | Ok (Simplex.Optimal (_, v)) -> begin
           match expected with
@@ -290,16 +290,17 @@ let prop_simplex_b_structured =
         end
       | Error f -> Guard.is_resource_failure f)
 
-let prop_preorder_b_structured =
+let prop_preorder_structured =
   QCheck.Test.make ~count:40
-    ~name:"Cover_game.preorder_b under tiny fuel"
+    ~name:"Cover_game.preorder under tiny fuel"
     (QCheck.pair (spec_arb ~max_nodes:4 ~max_edges:5)
        (QCheck.int_range 1 100))
     (fun (spec, fuel) ->
       let db = db_of_spec spec in
       let ents = Db.entities db in
       match
-        Cover_game.preorder_b ~budget:(Budget.make ~fuel ()) ~k:1 db ents
+        Guard.run (Budget.make ~fuel ()) (fun () ->
+            Cover_game.preorder ~k:1 db ents)
       with
       | Ok m -> m = Cover_game.preorder ~k:1 db ents
       | Error f -> Guard.is_resource_failure f)
@@ -307,8 +308,8 @@ let prop_preorder_b_structured =
 (* Algorithm 1 under a random small fuel: either the unbudgeted
    labeling, or a structured failure. A training database that is not
    GHW(1)-separable makes [classify] refuse, budgeted or not. *)
-let prop_ghw_classify_b_structured =
-  QCheck.Test.make ~count:40 ~name:"Ghw_sep.classify_b under tiny fuel"
+let prop_ghw_classify_structured =
+  QCheck.Test.make ~count:40 ~name:"Ghw_sep.classify under tiny fuel"
     (QCheck.triple
        (labeled_spec_arb ~max_nodes:4 ~max_edges:5)
        (spec_arb ~max_nodes:4 ~max_edges:5)
@@ -322,7 +323,8 @@ let prop_ghw_classify_b_structured =
       in
       match
         ( expected,
-          Ghw_sep.classify_b ~budget:(Budget.make ~fuel ()) ~k:1 t eval_db )
+          Guard.run (Budget.make ~fuel ()) (fun () ->
+              Ghw_sep.classify ~k:1 t eval_db) )
       with
       | Some l, Ok l' -> Labeling.equal l l'
       | None, Ok _ -> false
@@ -532,10 +534,10 @@ let () =
         ] );
       ( "fault injection",
         [
-          qcheck prop_separable_b_agrees;
-          qcheck prop_simplex_b_structured;
-          qcheck prop_preorder_b_structured;
-          qcheck prop_ghw_classify_b_structured;
+          qcheck prop_separable_agrees;
+          qcheck prop_simplex_structured;
+          qcheck prop_preorder_structured;
+          qcheck prop_ghw_classify_structured;
           Alcotest.test_case "tight fuel: hom BFS" `Quick
             test_tight_fuel_hom_bfs;
           Alcotest.test_case "tight fuel: planning and decomposition" `Quick

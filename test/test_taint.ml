@@ -151,7 +151,7 @@ let test_nsep_lock () =
       match real_summary name with
       | None -> ()
       | Some why -> Alcotest.failf "%s became float-tainted: %s" name why)
-    [ "Nsep.decide"; "Nsep.decide_b"; "Nsep.separable"; "Nsep.is_separable" ];
+    [ "Nsep.decide"; "Nsep.separable"; "Nsep.is_separable" ];
   (* ... while the float tier underneath really is a taint source, so
      the lock is not vacuous. *)
   check bool_c "Cg.fit is float-tainted" true (real_summary "Cg.fit" <> None);
