@@ -769,91 +769,59 @@ let bench_lint_typed () =
     "analysis/lint_typed — typed lint pass over lib/: cmt loading and \
      call-graph construction vs rule evaluation";
   let root =
-    List.find_opt
-      (fun d ->
-        Sys.file_exists (Filename.concat d "dune-project")
-        && Sys.file_exists (Filename.concat d "lib"))
-      [ "."; ".."; Filename.concat ".." ".." ]
+    match
+      List.find_opt
+        (fun d ->
+          Sys.file_exists (Filename.concat d "dune-project")
+          && Sys.file_exists (Filename.concat d "lib"))
+        [ "."; ".."; Filename.concat ".." ".." ]
+    with
+    | Some root -> root
+    | None -> failwith "bench: repository root not found from cwd"
   in
-  match root with
-  | None ->
-      Bench_util.row [ (60, "skipped: repository root not found from cwd") ]
-  | Some root ->
-      let solver_dirs =
-        [ "core"; "cq"; "relational"; "folang"; "covergame"; "lp"; "linsep" ]
-      in
-      let lib = Filename.concat root "lib" in
-      let dirs =
-        List.sort compare
-          (List.filter
-             (fun d -> Sys.is_directory (Filename.concat lib d))
-             (Array.to_list (Sys.readdir lib)))
-      in
-      let load () =
-        List.concat_map
-          (fun d ->
-            let entries = Array.to_list (Sys.readdir (Filename.concat lib d)) in
-            let with_ext e = List.filter (fun f -> Filename.check_suffix f e) entries in
-            Lint_cmt.load_units ~root
-              ~rel_dir:(Filename.concat "lib" d)
-              ~lib_name:d ~ml:(with_ext ".ml") ~mli:(with_ext ".mli")
-            |> List.filter_map (fun (u : Lint_cmt.unit_info) ->
-                   match (u.u_impl, u.u_ml) with
-                   | Some impl, Some file ->
-                       Some
-                         {
-                           Typed_rules.s_mod = u.u_module;
-                           s_file = file;
-                           s_mli = u.u_mli;
-                           s_solver = List.mem d solver_dirs;
-                           s_impl = impl;
-                           s_intf = u.u_intf;
-                         }
-                   | _ -> None))
-          dirs
-      in
-      let sources = load () in
-      let build srcs =
-        Callgraph.build
-          (List.map
-             (fun (s : Typed_rules.source) -> (s.Typed_rules.s_mod, s.s_impl))
-             srcs)
-      in
-      let impls srcs =
-        List.map
-          (fun (s : Typed_rules.source) -> (s.Typed_rules.s_mod, s.s_impl))
-          srcs
-      in
-      let g = build sources in
-      let findings = Typed_rules.run g sources in
-      let tnt = Taint.analyze g (impls sources) in
-      Bench_util.row [ (16, "phase"); (14, "time") ];
-      Bench_util.rule ();
-      let phase name thunk =
-        let ns =
-          Bench_util.time_ns ~name (fun () ->
-              ignore (Sys.opaque_identity (thunk ())))
-        in
-        Bench_util.row [ (16, name); (14, Bench_util.pp_ns ns) ];
-        ns
-      in
-      let _ = phase "cmt_load" load in
-      let _ = phase "graph_build" (fun () -> build sources) in
-      let rules_ns = phase "rule_eval" (fun () -> Typed_rules.run g sources) in
-      let taint_ns = phase "taint_analyze" (fun () -> Taint.analyze g (impls sources)) in
-      let proto_ns =
-        phase "protocol_eval" (fun () ->
-            Protocol_rules.run
-              ~rules:[ Lint_finding.R12; Lint_finding.R13; Lint_finding.R14 ]
-              tnt g sources)
-      in
-      (* The gate metric is a ratio of two walks over the same typed
-         trees, so machine speed cancels; it locks the taint pass to
-         the same order of magnitude as the R1-R10 rules. *)
-      record ~file:"BENCH_runtime.json" "lint_taint_vs_rules_ratio"
-        ((taint_ns +. proto_ns) /. rules_ns);
-      Printf.printf "  (%d modules, %d graph nodes, %d findings pre-filter)\n"
-        (List.length sources) (Callgraph.size g) (List.length findings)
+  (* The driver's own loader: it fails on a lib/ source without a .cmt
+     (build @lib/all first) rather than timing an empty input. *)
+  let load () =
+    match Lint_driver.load_lib ~root with
+    | Ok sources -> sources
+    | Error msg -> failwith ("bench: " ^ msg)
+  in
+  let sources = load () in
+  let impls =
+    List.map
+      (fun (s : Typed_rules.source) -> (s.Typed_rules.s_mod, s.s_impl))
+      sources
+  in
+  let g = Callgraph.build impls in
+  let findings = Typed_rules.run g sources in
+  let tnt = Taint.analyze g impls in
+  Bench_util.row [ (16, "phase"); (14, "time") ];
+  Bench_util.rule ();
+  let phase name thunk =
+    let ns =
+      Bench_util.time_ns ~name (fun () ->
+          ignore (Sys.opaque_identity (thunk ())))
+    in
+    Bench_util.row [ (16, name); (14, Bench_util.pp_ns ns) ];
+    ns
+  in
+  let _ = phase "cmt_load" load in
+  let _ = phase "graph_build" (fun () -> Callgraph.build impls) in
+  let rules_ns = phase "rule_eval" (fun () -> Typed_rules.run g sources) in
+  let taint_ns = phase "taint_analyze" (fun () -> Taint.analyze g impls) in
+  let proto_ns =
+    phase "protocol_eval" (fun () ->
+        Protocol_rules.run
+          ~rules:[ Lint_finding.R12; Lint_finding.R13; Lint_finding.R14 ]
+          tnt g sources)
+  in
+  (* The gate metric is a ratio of two walks over the same typed
+     trees, so machine speed cancels; it locks the taint pass to the
+     same order of magnitude as the other typed rules. *)
+  record ~file:"BENCH_runtime.json" "lint_taint_vs_rules_ratio"
+    ((taint_ns +. proto_ns) /. rules_ns);
+  Printf.printf "  (%d modules, %d graph nodes, %d findings pre-filter)\n"
+    (List.length sources) (Callgraph.size g) (List.length findings)
 
 (* ------------------------------------------------------------------ *)
 (* Job service: the fsync'd journal is on every submit/complete path, *)

@@ -1,23 +1,20 @@
 (* cqlint — static analysis over the repo's own sources.
 
    Exit codes: 0 clean, 1 findings (or stale baseline entries under
-   --strict-baseline), 2 internal error (unparsable source,
-   unreadable/malformed baseline, bad flags). *)
+   --strict-baseline), 2 internal error (unparsable source, a lib/
+   source without a .cmt, unreadable/malformed baseline, bad flags). *)
 
 let usage =
   "cqlint [--root DIR] [--rules R1,R2,...] [--baseline FILE] \
-   [--strict-baseline] [--no-typed] [--dump-callgraph] [--dot] \
-   [--par-report] [--taint-report] [--json] [--sarif FILE] \
-   [--write-baseline] [--quiet]"
+   [--strict-baseline] [--dump-callgraph] [--dot] [--taint-report] \
+   [--json] [--sarif FILE] [--write-baseline] [--quiet]"
 
 let () =
   let root = ref "." in
   let rules = ref Lint_finding.all_rules in
   let baseline = ref None in
   let strict_baseline = ref false in
-  let typed = ref true in
   let dump_callgraph = ref false in
-  let par_report = ref false in
   let taint_report = ref false in
   let dot = ref false in
   let json = ref false in
@@ -43,28 +40,20 @@ let () =
       ("--root", Arg.Set_string root, "DIR repository root (default: .)");
       ( "--rules",
         Arg.String set_rules,
-        "R1,R2,... enable only these rules (default: all of R1-R14)" );
+        "R1,R2,... enable only these rules (default: all of R1-R14 but the \
+         retired R5)" );
       ( "--baseline",
         Arg.String (fun f -> baseline := Some f),
         "FILE grandfather the findings listed (with reasons) in FILE" );
       ( "--strict-baseline",
         Arg.Set strict_baseline,
         " stale baseline entries are an error (exit 1), not a warning" );
-      ( "--typed",
-        Arg.Set typed,
-        " load .cmt files and run the typed pass (default)" );
-      ( "--no-typed",
-        Arg.Clear typed,
-        " Parsetree rules only; skip the typed pass" );
       ( "--dump-callgraph",
         Arg.Set dump_callgraph,
         " print the whole-library call graph and exit" );
       ( "--dot",
         Arg.Set dot,
         " with --dump-callgraph: emit Graphviz of the SCC condensation" );
-      ( "--par-report",
-        Arg.Set par_report,
-        " print the shard-safety report (docs/SHARD_SAFETY.md) and exit" );
       ( "--taint-report",
         Arg.Set taint_report,
         " print the exactness-boundary report (docs/EXACTNESS.md) and exit" );
@@ -94,7 +83,6 @@ let () =
       (* Regenerating the baseline must see the full finding list (and
          must not require the old file to exist), so skip reading it. *)
       baseline = (if !write_baseline then None else !baseline);
-      typed = !typed;
     }
   in
   if !dump_callgraph || !dot then begin
@@ -110,15 +98,6 @@ let () =
   end;
   if !taint_report then begin
     match Lint_driver.taint_report config with
-    | Error msg ->
-        Printf.eprintf "cqlint: internal error: %s\n" msg;
-        exit 2
-    | Ok text ->
-        print_string text;
-        exit 0
-  end;
-  if !par_report then begin
-    match Lint_driver.par_report config with
     | Error msg ->
         Printf.eprintf "cqlint: internal error: %s\n" msg;
         exit 2
@@ -146,14 +125,6 @@ let () =
             (if !strict_baseline then "error" else "warning")
             e)
         report.missing_file_baseline;
-      List.iter
-        (fun f ->
-          Printf.eprintf
-            "cqlint: warning: no annotation for %s \xe2\x80\x94 Parsetree \
-             rules only (run `dune build @lint` or `dune build` to \
-             generate .cmt files)\n"
-            f)
-        report.degraded;
       if !write_baseline then begin
         List.iter
           (fun f -> print_endline (Lint_driver.baseline_line f))

@@ -13,11 +13,9 @@
    A's body mentions B — applied, partially applied, or merely
    referenced. That over-approximates "calls" in the quiet direction
    (mentioning a ticking function counts as ticking through it, even
-   if the mention never runs), which is the same over-approximation
-   the Parsetree R1 made for its one-level closure; what the typed
-   graph adds is *resolution*: a mention is credited to the definition
+   if the mention never runs). A mention is credited to the definition
    the typechecker bound it to, across modules, shadowing and opens —
-   never to whatever happens to share its name in the same file. *)
+   never to whatever happens to share its name. *)
 
 type node_kind =
   | Def  (** a [let]-bound value (any nesting depth) *)
@@ -46,7 +44,7 @@ type t = {
   g_succs : int list array;  (* mention edges, deduplicated, sorted *)
   g_mentions : (int * string * int * int) list;
   g_by_global : (string, int) Hashtbl.t;
-  g_by_local : (string, int) Hashtbl.t;  (* stamped ident keys → def node *)
+  g_by_local : (string, int) Hashtbl.t;  (* [scoped] ident keys → def node *)
   g_at : (string * int * int, int) Hashtbl.t;  (* (mod, line, col) → node *)
   g_scc_of : int array;
   g_scc_count : int;
@@ -62,6 +60,11 @@ let rec local_key (p : Path.t) =
       match local_key p with Some k -> Some (k ^ "." ^ s) | None -> None
     end
   | _ -> None
+
+(* Ident stamps are unique only within one compilation unit: two
+   modules of the loaded set can both bind [to_string_484]. Locals are
+   therefore keyed by their module too. *)
+let scoped modname k = modname ^ ":" ^ k
 
 (* The implicit [open Stdlib] makes the same function resolve as
    [Hashtbl.fold] or [Stdlib.Hashtbl.fold] depending on how it was
@@ -91,7 +94,7 @@ type builder = {
   b_edges : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   mutable b_mentions : (int * string * int * int) list;
   b_global : (string, int) Hashtbl.t;
-  b_local : (string, int) Hashtbl.t;  (* stamped ident keys → def node *)
+  b_local : (string, int) Hashtbl.t;  (* [scoped] ident keys → def node *)
   b_external : (string, int) Hashtbl.t;
 }
 
@@ -152,7 +155,7 @@ let walk_module b ctx (str : Typedtree.structure) =
   let record_mention path (loc : Location.t) =
     let src = current ctx in
     if src >= 0 then begin
-      match local_key path with
+      match Option.map (scoped ctx.c_mod) (local_key path) with
       | Some k when Hashtbl.mem b.b_local k ->
           add_edge b src (Hashtbl.find b.b_local k)
       | _ -> begin
@@ -182,7 +185,9 @@ let walk_module b ctx (str : Typedtree.structure) =
     in
     List.iter
       (fun ident ->
-        Hashtbl.replace b.b_local (Ident.unique_name ident) id;
+        Hashtbl.replace b.b_local
+          (scoped ctx.c_mod (Ident.unique_name ident))
+          id;
         if toplevel then begin
           Hashtbl.replace b.b_global
             (display_prefix ctx ^ "." ^ Ident.name ident)
@@ -193,8 +198,9 @@ let walk_module b ctx (str : Typedtree.structure) =
           | [] -> ()
           | _ ->
               Hashtbl.replace b.b_local
-                (String.concat "."
-                   (List.rev ctx.c_moduniq @ [ Ident.name ident ]))
+                (scoped ctx.c_mod
+                   (String.concat "."
+                      (List.rev ctx.c_moduniq @ [ Ident.name ident ])))
                 id
         end)
       idents;
@@ -422,11 +428,11 @@ let scc_of g id = g.g_scc_of.(id)
 let scc_count g = g.g_scc_count
 
 (* The same two-step resolution [record_mention] uses during
-   construction: stamped local idents first (shadowing-correct), then
-   dotted globals. Externals resolve to [None] — callers classify them
-   by name instead. *)
-let resolve g (p : Path.t) =
-  match local_key p with
+   construction: stamped local idents of [modname] first
+   (shadowing-correct), then dotted globals. Externals resolve to
+   [None] — callers classify them by name instead. *)
+let resolve g ~modname (p : Path.t) =
+  match Option.map (scoped modname) (local_key p) with
   | Some k when Hashtbl.mem g.g_by_local k -> Hashtbl.find_opt g.g_by_local k
   | _ -> begin
       match global_name p with

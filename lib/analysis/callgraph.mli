@@ -1,15 +1,14 @@
 (** Whole-library interprocedural call graph built from [.cmt] typed
     trees — the substrate of the typed lint rules (R1′ tick
-    reachability, R6 determinism, R7 marshal safety).
+    reachability, R6 determinism, R9 state registration, R12 taint).
 
     Nodes are value definitions (at any nesting depth), [while]/[for]
     loop bodies, and externals (values mentioned but not defined in
     the loaded set). Edges are typechecker-resolved *mentions*: an
     identifier occurrence is credited to the definition its [Path.t]
-    resolves to — across modules, shadowing and [open]s — which is
-    precisely what the Parsetree rules' name matching cannot do.
-    Mentions over-approximate calls in the quiet direction, matching
-    the Parsetree R1's closure discipline. *)
+    resolves to — across modules, shadowing and [open]s, which name
+    matching cannot do. Mentions over-approximate calls in the quiet
+    direction. *)
 
 type node_kind =
   | Def  (** a [let]-bound value (any nesting depth) *)
@@ -63,11 +62,13 @@ val scc_of : t -> int -> int
 val scc_count : t -> int
 (** Number of SCCs (valid SCC ids are [0 .. scc_count - 1]). *)
 
-val resolve : t -> Path.t -> int option
-(** Resolve a typechecker path to the definition node it was credited
-    to during construction: stamped local idents first (so shadowing
-    resolves the way the typechecker saw it), then dotted global names.
-    [None] for externals and unresolvable paths. *)
+val resolve : t -> modname:string -> Path.t -> int option
+(** Resolve a typechecker path, mentioned in compilation unit
+    [modname], to the definition node it was credited to during
+    construction: [modname]'s stamped local idents first (so shadowing
+    resolves the way the typechecker saw it; stamps repeat across
+    units), then dotted global names. [None] for externals and
+    unresolvable paths. *)
 
 val node_at : t -> modname:string -> line:int -> col:int -> int option
 (** Recover a definition or loop node from its source anchor — the

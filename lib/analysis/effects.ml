@@ -1,11 +1,9 @@
 (* Interprocedural effect inference over the whole-library mention
-   graph: every Callgraph node gets a lattice-valued effect signature
-
-     Pure ⊑ ReadsCache(sites) ⊑ WritesGlobal(sites) ⊑ Io ⊑ Forks
-
-   where "sites" are the top-level mutable bindings already policed by
-   R5 (refs, Hashtbls, Buffers, ... created at a module's structure
-   top level) together with their Runtime_state registration status.
+   graph: every Callgraph node gets the set of top-level mutable
+   bindings it reads and writes ("sites": refs, Hashtbls, Buffers, ...
+   created at a module's structure top level), each site annotated
+   with its Runtime_state registration status. That is R9's input: an
+   entry point that writes an unregistered site is a finding.
 
    The analysis is three source passes plus one graph pass:
 
@@ -16,9 +14,9 @@
                           validate closure) carries that registry name;
      3. local effects   — a Typedtree walk re-attributed to Callgraph
                           nodes via {!Callgraph.node_at}: site reads
-                          (any resolved mention of a site), site
+                          (any resolved mention of a site) and site
                           writes (a writer head applied with the site
-                          in target position), runner-field forks;
+                          in target position);
      4. propagation     — one bottom-up pass over the Tarjan SCC
                           condensation in ascending SCC-id order
                           (callees first, see {!Callgraph.scc_of}):
@@ -26,16 +24,10 @@
                           members' local effects and the final
                           signatures of all out-of-SCC callees.
 
-   Externals are classified by resolved name (Unix.fork forks,
-   Printf.printf does io, Printf.sprintf does not, ...) and enter the
-   propagation as leaf signatures.
-
    The runtime-contract exemption: nodes in [Budget], [Guard] and
-   [Runtime_state] are Pure by fiat and effect-opaque — budget/guard
-   bookkeeping is per-worker state by contract (forked workers get
-   their own), and thunks passed into them are mentioned directly by
-   the caller, so real effects still flow. [Isolate] is analyzed like
-   any other module and comes out Forks through its Unix.fork mention.
+   [Runtime_state] are effect-free by fiat and effect-opaque — their
+   bookkeeping is reset by contract — and thunks passed into them are
+   mentioned directly by the caller, so real effects still flow.
 
    Version discipline matches [Callgraph]: only 4.14..5.x-stable
    constructors are matched, binding names come from
@@ -52,18 +44,14 @@ type site = {
 type esig = {
   e_reads : int list;  (* site indexes, sorted, deduplicated *)
   e_writes : int list;  (* ditto; writes are also reads *)
-  e_io : bool;
-  e_forks : bool;
 }
-
-type level = Pure | Reads_cache | Writes_global | Io | Forks
 
 type t = {
   t_sites : site array;
   t_sigs : esig array;  (* indexed by Callgraph node id *)
 }
 
-let empty_sig = { e_reads = []; e_writes = []; e_io = false; e_forks = false }
+let empty_sig = { e_reads = []; e_writes = [] }
 
 (* --- small sorted-int-set ops ----------------------------------------- *)
 
@@ -81,8 +69,6 @@ let join a b =
   {
     e_reads = union a.e_reads b.e_reads;
     e_writes = union a.e_writes b.e_writes;
-    e_io = a.e_io || b.e_io;
-    e_forks = a.e_forks || b.e_forks;
   }
 
 (* --- module exemption -------------------------------------------------- *)
@@ -90,60 +76,10 @@ let join a b =
 let exempt_modules = [ "Budget"; "Guard"; "Runtime_state" ]
 let exempt_module m = List.mem m exempt_modules
 
-(* --- external classification ------------------------------------------ *)
-
 let starts_with p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
-(* Process-state-free Sys members; the rest of Sys reads the
-   environment, the clock, or the file system. *)
-let pure_sys =
-  [ "Sys.max_array_length"; "Sys.max_string_length"; "Sys.max_floatarray_length";
-    "Sys.word_size"; "Sys.int_size"; "Sys.big_endian"; "Sys.ocaml_version";
-    "Sys.backend_type"; "Sys.opaque_identity"; "Sys.unix"; "Sys.win32";
-    "Sys.cygwin" ]
-
-let fork_external name =
-  match name with
-  | "Unix.fork" | "Isolate.run" | "Isolate.spawn" | "Isolate.runner" -> true
-  | _ -> false
-
-let io_external name =
-  if fork_external name then false
-  else
-    starts_with "print_" name || starts_with "prerr_" name
-    || starts_with "output" name || starts_with "input" name
-    || starts_with "open_" name || starts_with "read_line" name
-    || starts_with "close_" name || starts_with "flush" name
-    || starts_with "seek_" name || starts_with "pos_" name
-    || starts_with "set_binary_mode_" name
-    ||
-    match name with
-    | "exit" | "at_exit" -> true
-    | "Printf.printf" | "Printf.eprintf" | "Printf.fprintf"
-    | "Printf.ifprintf" | "Printf.kfprintf" ->
-        true
-    | "Format.printf" | "Format.eprintf" ->
-        (* Format.fprintf/asprintf/pp_* write to a caller-supplied
-           formatter or a fresh buffer — not ambient io. *)
-        true
-    | _ ->
-        (starts_with "Format.print_" name || starts_with "Format.open_" name)
-        || (starts_with "Sys." name && not (List.mem name pure_sys))
-        || starts_with "Unix." name
-        || starts_with "Filename.temp_" name
-        || starts_with "Filename.open_temp_" name
-        || starts_with "Out_channel." name
-        || starts_with "In_channel." name
-        || starts_with "Random." name
-        (* the global PRNG is ambient process state *)
-
-let external_sig name =
-  if fork_external name then { empty_sig with e_forks = true }
-  else if io_external name then { empty_sig with e_io = true }
-  else empty_sig
-
-(* --- mutable-allocation heads (typed mirror of R5's table) ------------- *)
+(* --- mutable-allocation heads ------------------------------------------ *)
 
 let mutable_makers =
   [ "Hashtbl"; "Queue"; "Stack"; "Buffer"; "Array"; "Weak"; "Atomic";
@@ -289,7 +225,7 @@ let mark_registered g sites impls =
   Array.iteri (fun i s -> Hashtbl.replace by_node s.site_node i) sites;
   let registered = Hashtbl.create 16 in
   List.iter
-    (fun (_modname, str) ->
+    (fun (modname, str) ->
       let iter =
         {
           Tast_iterator.default_iterator with
@@ -325,7 +261,9 @@ let mark_registered g sites impls =
                               | Some a ->
                                   List.iter
                                     (fun p ->
-                                      match Callgraph.resolve g p with
+                                      match
+                                        Callgraph.resolve g ~modname p
+                                      with
                                       | Some id
                                         when Hashtbl.mem by_node id ->
                                           Hashtbl.replace registered
@@ -352,20 +290,6 @@ let mark_registered g sites impls =
 
 (* --- pass 3: local effects --------------------------------------------- *)
 
-(* A [.run] field selection on a [*runner]-shaped record — the same
-   boundary R7 watches. An application through it hands the thunk to
-   whatever worker the runner wraps, possibly a fork. *)
-let runner_field_head (f : Typedtree.expression) =
-  match f.Typedtree.exp_desc with
-  | Typedtree.Texp_field (_, _, ld) when ld.Types.lbl_name = "run" -> begin
-      match Types.get_desc ld.Types.lbl_res with
-      | Types.Tconstr (p, _, _)
-        when String.ends_with ~suffix:"runner" (tyname p) ->
-          true
-      | _ -> false
-    end
-  | _ -> false
-
 let local_effects g sites impls =
   let n = Callgraph.size g in
   let locals = Array.make (max n 1) empty_sig in
@@ -389,7 +313,7 @@ let local_effects g sites impls =
       in
       let pop () = stack := List.tl !stack in
       let note_read p =
-        match Callgraph.resolve g p with
+        match Callgraph.resolve g ~modname p with
         | Some id -> begin
             match Hashtbl.find_opt site_of_node id with
             | Some s ->
@@ -402,13 +326,12 @@ let local_effects g sites impls =
       let note_writes (target : Typedtree.expression) =
         List.iter
           (fun p ->
-            match Callgraph.resolve g p with
+            match Callgraph.resolve g ~modname p with
             | Some id -> begin
                 match Hashtbl.find_opt site_of_node id with
                 | Some s ->
                     record (cur ()) (fun l ->
                         {
-                          l with
                           e_reads = add_elt s l.e_reads;
                           e_writes = add_elt s l.e_writes;
                         })
@@ -418,7 +341,7 @@ let local_effects g sites impls =
           (idents_in target)
       in
       let check_apply (f : Typedtree.expression) args =
-        (match f.Typedtree.exp_desc with
+        match f.Typedtree.exp_desc with
         | Typedtree.Texp_ident (p, _, _) when writer_head (tyname p) -> begin
             match
               List.find_map
@@ -431,9 +354,7 @@ let local_effects g sites impls =
             | Some target -> note_writes target
             | None -> ()
           end
-        | _ -> ());
-        if runner_field_head f then
-          record (cur ()) (fun l -> { l with e_forks = true })
+        | _ -> ()
       in
       let process_bindings self (vbs : Typedtree.value_binding list) =
         List.iter
@@ -500,10 +421,7 @@ let propagate g locals =
     List.iter
       (fun v ->
         if not (exempt v) then begin
-          (match (Callgraph.node g v).Callgraph.kind with
-          | Callgraph.External ->
-              acc := join !acc (external_sig (Callgraph.node g v).Callgraph.name)
-          | _ -> acc := join !acc locals.(v));
+          acc := join !acc locals.(v);
           List.iter
             (fun w ->
               if Callgraph.scc_of g w <> s then acc := join !acc sigs.(w))
@@ -528,12 +446,6 @@ let analyze g impls =
 
 let signature t id = t.t_sigs.(id)
 let sites t = t.t_sites
-let site t i = t.t_sites.(i)
-
-let accesses t s =
-  List.map
-    (fun i -> (t.t_sites.(i), List.mem i s.e_writes))
-    (union s.e_reads s.e_writes)
 
 let unregistered_writes t s =
   List.filter_map
@@ -542,47 +454,21 @@ let unregistered_writes t s =
       if site.site_registered = None then Some site else None)
     s.e_writes
 
-let level t s =
-  if s.e_forks then Forks
-  else if s.e_io then Io
-  else if unregistered_writes t s <> [] then Writes_global
-  else if s.e_reads <> [] || s.e_writes <> [] then Reads_cache
-  else Pure
-
-let level_name = function
-  | Pure -> "pure"
-  | Reads_cache -> "reads-cache"
-  | Writes_global -> "writes-global"
-  | Io -> "io"
-  | Forks -> "forks"
-
-(* Shard-safe: no ambient effect a forked worker could carry over unreset —
-   pure, or touching only Runtime_state-registered caches (which every
-   Isolate fork worker resets on startup and chaos runs validate). *)
-let shard_safe t s =
-  match level t s with
-  | Pure -> true
-  | Reads_cache ->
-      List.for_all
-        (fun (site, _) -> site.site_registered <> None)
-        (accesses t s)
-  | Writes_global | Io | Forks -> false
-
 let site_display site =
   match site.site_registered with
   | Some name -> name
   | None -> site.site_name
 
 let describe t s =
-  let lv = level t s in
-  match lv with
-  | Pure -> "pure"
-  | Io -> "io"
-  | Forks -> "forks"
-  | Reads_cache | Writes_global ->
-      Printf.sprintf "%s(%s)" (level_name lv)
+  match union s.e_reads s.e_writes with
+  | [] -> "pure"
+  | touched ->
+      Printf.sprintf "%s(%s)"
+        (if unregistered_writes t s <> [] then "writes-global"
+         else "reads-cache")
         (String.concat ", "
            (List.map
-              (fun (site, written) ->
-                site_display site ^ if written then "!" else "")
-              (accesses t s)))
+              (fun i ->
+                site_display t.t_sites.(i)
+                ^ if List.mem i s.e_writes then "!" else "")
+              touched))

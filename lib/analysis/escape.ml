@@ -2,16 +2,12 @@
    function (refs, arrays, Hashtbls, Buffers, Bytes, ...) and report
    when one crosses a fork/runner boundary — directly as an argument,
    or captured by a closure handed to [Isolate.run]/[Isolate.spawn] or
-   applied through a [*runner]-record [.run] field — or is stored into
-   a global structure.
+   applied through a [*runner]-record [.run] field.
 
    Crossing a fork means the child mutates a *copy*: writes are lost at
    the merge, the precise fork-time aliasing bug class an OCaml 5
    domains backend turns from silent wrong-answers into races. That is
-   R10's [Fork_boundary] kind. [Stored_global] (a local mutable written
-   into a caller-identified global) is exposed for tests and future
-   rules but carries no lint rule yet — R5/R9 already police the
-   global's own lifecycle.
+   R10.
 
    Mechanics: one top-down pass per module. A per-module environment
    maps stamped idents ([Ident.unique_name] — unique per binder, so
@@ -22,14 +18,10 @@
    RHS, and boundary applications scan their argument subtrees *before*
    descent — so a mutable allocated inside the escaping thunk itself is
    correctly out of scope and not reported. Top-level bindings are
-   skipped: those are R5/R9's sites, not locals. *)
-
-type kind =
-  | Fork_boundary of string  (** boundary head, e.g. ["Isolate.run"] *)
-  | Stored_global of string  (** the global's dotted name *)
+   skipped: those are R9's sites, not locals. *)
 
 type escape = {
-  esc_kind : kind;
+  esc_head : string;  (** boundary head, e.g. ["Isolate.run"] *)
   esc_what : string;  (** allocation head: ["ref"], ["Hashtbl"], ... *)
   esc_name : string;  (** the local binding's source name *)
   esc_line : int;  (** allocation site *)
@@ -78,8 +70,7 @@ let idents_in (e : Typedtree.expression) =
 
 let stamp_of (p : Path.t) = Callgraph.local_key p
 
-let analyze ?(is_global = fun (_ : Path.t) -> false)
-    (str : Typedtree.structure) =
+let analyze (str : Typedtree.structure) =
   let out = ref [] in
   let seen = Hashtbl.create 16 in
   (* stamped ident -> allocation fact, for tracked local mutables *)
@@ -100,15 +91,15 @@ let analyze ?(is_global = fun (_ : Path.t) -> false)
   let escaping (e : Typedtree.expression) =
     List.concat_map resolve_path (idents_in e)
   in
-  let report kind (bloc : Location.t) allocs =
+  let report head (bloc : Location.t) allocs =
     List.iter
       (fun a ->
-        let key = (a.a_name, a.a_line, a.a_col, kind) in
+        let key = (a.a_name, a.a_line, a.a_col, head) in
         if not (Hashtbl.mem seen key) then begin
           Hashtbl.replace seen key ();
           out :=
             {
-              esc_kind = kind;
+              esc_head = head;
               esc_what = a.a_what;
               esc_name = a.a_name;
               esc_line = a.a_line;
@@ -122,46 +113,15 @@ let analyze ?(is_global = fun (_ : Path.t) -> false)
       allocs
   in
   let check_apply (e : Typedtree.expression) (f : Typedtree.expression) args =
-    (match boundary_head f with
+    match boundary_head f with
     | Some head ->
         List.iter
           (fun (_, arg) ->
-          match arg with
-            | Some a ->
-                report (Fork_boundary head) e.Typedtree.exp_loc (escaping a)
+            match arg with
+            | Some a -> report head e.Typedtree.exp_loc (escaping a)
             | None -> ())
           args
-    | None -> ());
-    match f.Typedtree.exp_desc with
-    | Typedtree.Texp_ident (p, _, _) when Effects.writer_head (tyname p) ->
-      begin
-        match
-          List.find_map
-            (fun (lbl, arg) ->
-              match (lbl, arg) with
-              | Asttypes.Nolabel, Some (a : Typedtree.expression) -> Some a
-              | _ -> None)
-            args
-        with
-        | None -> ()
-        | Some target -> begin
-            match
-              List.find_opt (fun p -> is_global p) (idents_in target)
-            with
-            | None -> ()
-            | Some gp ->
-                let values =
-                  List.concat_map
-                    (fun (_, arg) ->
-                      match arg with
-                      | Some a when a != target -> escaping a
-                      | _ -> [])
-                    args
-                in
-                report (Stored_global (tyname gp)) e.Typedtree.exp_loc values
-          end
-      end
-    | _ -> ()
+    | None -> ()
   in
   let track_binding (vb : Typedtree.value_binding) =
     (* Capture set first — computed against the env *before* the RHS's

@@ -13,16 +13,10 @@
     A mutable allocated {e inside} the escaping thunk is not reported —
     it is born on the far side of the boundary and never aliased. *)
 
-type kind =
-  | Fork_boundary of string
-      (** crossed this boundary head: ["Isolate.run"], ["Isolate.spawn"]
-          or ["runner.run"] *)
-  | Stored_global of string
-      (** written into this global structure (no lint rule yet; exposed
-          for tests and future passes) *)
-
 type escape = {
-  esc_kind : kind;
+  esc_head : string;
+      (** the boundary crossed: ["Isolate.run"], ["Isolate.spawn"] or
+          ["runner.run"] *)
   esc_what : string;  (** allocation head: ["ref"], ["Hashtbl"], ... *)
   esc_name : string;  (** the local binding's source name *)
   esc_line : int;  (** allocation site *)
@@ -32,7 +26,6 @@ type escape = {
   esc_bcol : int;
 }
 
-val analyze : ?is_global:(Path.t -> bool) -> Typedtree.structure -> escape list
+val analyze : Typedtree.structure -> escape list
 (** One module at a time, in source order, deduplicated per
-    (allocation, kind). [is_global] decides which store targets count
-    as global for [Stored_global]; it defaults to never. *)
+    (allocation, boundary). *)

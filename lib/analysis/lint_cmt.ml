@@ -4,8 +4,8 @@
    constructors matched here are stable across 4.14..5.x. Everything
    else about a cmt (its marshalled environment, shapes, ...) is
    ignored; a cmt written by a different compiler version fails the
-   magic-number check inside [read_cmt] and is reported as missing
-   (degraded coverage), never as a crash. *)
+   magic-number check inside [read_cmt] and is reported as missing,
+   never as a crash. *)
 
 type unit_info = {
   u_module : string;
@@ -84,7 +84,7 @@ let load_units ~root ~rel_dir ~lib_name ~ml ~mli =
       })
     bases
 
-let degraded_sources units =
+let unannotated units =
   List.concat_map
     (fun u ->
       let miss src annot = match (src, annot) with

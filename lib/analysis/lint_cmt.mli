@@ -2,11 +2,10 @@
     produces alongside every compiled module — the input of the typed
     lint pass.
 
-    Loading is best-effort by design: a missing or unreadable
-    annotation file (stale build, different compiler version, fresh
-    checkout) degrades that module to the Parsetree rules instead of
-    failing the run; {!degraded_sources} names the affected sources so
-    the driver can report the reduced coverage explicitly. *)
+    A missing or unreadable annotation file (fresh checkout, different
+    compiler version) leaves the unit's field [None] rather than
+    raising; {!unannotated} names the affected sources, and the
+    driver refuses to lint without them. *)
 
 type unit_info = {
   u_module : string;  (** capitalized module name, e.g. ["Cq_sep"] *)
@@ -44,6 +43,5 @@ val load_units :
 (** Pair every source basename of one library directory with whatever
     annotations exist, probing {!obj_dir_candidates} in order. *)
 
-val degraded_sources : unit_info list -> string list
-(** Sources that have no matching annotation and therefore fall back
-    to the Parsetree rules. *)
+val unannotated : unit_info list -> string list
+(** Sources that have no readable matching annotation. *)

@@ -5,11 +5,10 @@ type config = {
   root : string;
   rules : Lint_finding.rule list;
   baseline : string option;
-  typed : bool;
 }
 
 let default_config ~root =
-  { root; rules = Lint_finding.all_rules; baseline = None; typed = true }
+  { root; rules = Lint_finding.all_rules; baseline = None }
 
 type report = {
   findings : Lint_finding.t list;
@@ -19,7 +18,6 @@ type report = {
   stale_baseline : string list;
   missing_file_baseline : string list;
   typed_modules : int;
-  degraded : string list;
 }
 
 (* --- baseline --------------------------------------------------------- *)
@@ -114,19 +112,11 @@ let matches_baseline entries (f : Lint_finding.t) =
 
 (* --- per-file runs ---------------------------------------------------- *)
 
-let lint_source_counted ?(extra = []) ~rules ~solver (src : Lint_source.t) =
+let lint_source_counted ?(extra = []) ~rules (src : Lint_source.t) =
   let enabled r = List.mem r rules in
   let raw =
-    List.concat
-      [
-        (if solver && enabled Lint_finding.R1 then Lint_rules.r1_budget src
-         else []);
-        (if enabled Lint_finding.R2 then Lint_rules.r2_exceptions src else []);
-        (if enabled Lint_finding.R3 then Lint_rules.r3_comparisons src
-         else []);
-        (if solver && enabled Lint_finding.R5 then Lint_rules.r5_state src
-         else []);
-      ]
+    (if enabled Lint_finding.R2 then Lint_rules.r2_exceptions src else [])
+    @ if enabled Lint_finding.R3 then Lint_rules.r3_comparisons src else []
   in
   (* R0 findings (malformed directives) ride along unconditionally: a
      broken suppression must never pass silently. [extra] is the typed
@@ -134,8 +124,7 @@ let lint_source_counted ?(extra = []) ~rules ~solver (src : Lint_source.t) =
      them exactly like the Parsetree findings. *)
   Lint_source.apply src (raw @ extra)
 
-let lint_source ~rules ~solver src =
-  fst (lint_source_counted ~rules ~solver src)
+let lint_source ~rules src = fst (lint_source_counted ~rules src)
 
 let read_file path =
   match open_in_bin path with
@@ -165,8 +154,8 @@ type dirspec = {
   ds_mli : string list;
 }
 
-(* [bin]/[bench] hold executables: no .mli discipline, no solver
-   rules, no cmt loading — R0/R2/R3 apply. *)
+(* [bin]/[bench] hold executables: no .mli discipline, no typed
+   pass — R0/R2/R3 apply. *)
 let exec_dirs = [ "bin"; "bench" ]
 
 let scan_dirs root =
@@ -248,40 +237,58 @@ let lib_name_of_dune path =
       in
       find 0
 
+let load_dir ~root ~rel_dir ~lib_name ~solver ~ml ~mli =
+  let units = Lint_cmt.load_units ~root ~rel_dir ~lib_name ~ml ~mli in
+  match Lint_cmt.unannotated units with
+  | file :: _ ->
+      Error
+        (Printf.sprintf
+           "%s: no readable .cmt/.cmti annotation under _build (library \
+            %s); run `dune build @lib/all` first"
+           file lib_name)
+  | [] ->
+      Ok
+        (List.filter_map
+           (fun (u : Lint_cmt.unit_info) ->
+             match (u.u_impl, u.u_ml) with
+             | Some impl, Some file ->
+                 Some
+                   {
+                     Typed_rules.s_mod = u.u_module;
+                     s_file = file;
+                     s_mli = u.u_mli;
+                     s_solver = solver;
+                     s_impl = impl;
+                     s_intf = u.u_intf;
+                   }
+             | _ -> None)
+           units)
+
 let load_typed ~root dirs =
   List.fold_left
-    (fun (sources, degraded) ds ->
-      if not ds.ds_lib then (sources, degraded)
+    (fun acc ds ->
+      let* acc = acc in
+      if not ds.ds_lib then Ok acc
       else
         match lib_name_of_dune (Filename.concat ds.ds_path "dune") with
         | None ->
-            ( sources,
-              degraded
-              @ List.map (Filename.concat ds.ds_rel) (ds.ds_ml @ ds.ds_mli) )
+            Error
+              (Filename.concat ds.ds_rel "dune"
+              ^ ": no (name ...) field to locate the .cmt files by")
         | Some lib_name ->
-            let units =
-              Lint_cmt.load_units ~root ~rel_dir:ds.ds_rel ~lib_name
+            let* srcs =
+              load_dir ~root ~rel_dir:ds.ds_rel ~lib_name ~solver:ds.ds_solver
                 ~ml:ds.ds_ml ~mli:ds.ds_mli
             in
-            let srcs =
-              List.filter_map
-                (fun (u : Lint_cmt.unit_info) ->
-                  match (u.u_impl, u.u_ml) with
-                  | Some impl, Some file ->
-                      Some
-                        {
-                          Typed_rules.s_mod = u.u_module;
-                          s_file = file;
-                          s_mli = u.u_mli;
-                          s_solver = ds.ds_solver;
-                          s_impl = impl;
-                          s_intf = u.u_intf;
-                        }
-                  | _ -> None)
-                units
-            in
-            (sources @ srcs, degraded @ Lint_cmt.degraded_sources units))
-    ([], []) dirs
+            Ok (acc @ srcs))
+    (Ok []) dirs
+
+let load_lib ~root =
+  let* dirs = scan_dirs root in
+  let* sources = load_typed ~root dirs in
+  if sources = [] then
+    Error (Printf.sprintf "no library modules under %s/lib" root)
+  else Ok sources
 
 let impls_of sources =
   List.map
@@ -291,73 +298,25 @@ let impls_of sources =
 let build_graph sources = Callgraph.build (impls_of sources)
 
 let callgraph config =
-  let* dirs = scan_dirs config.root in
-  let sources, _ = load_typed ~root:config.root dirs in
-  Ok (build_graph sources)
+  let* srcs = load_lib ~root:config.root in
+  Ok (build_graph srcs)
 
-(* --- the shard-safety report and R11 ----------------------------------- *)
-
-let shard_report_file = "docs/SHARD_SAFETY.md"
-
-let par_report config =
-  let* dirs = scan_dirs config.root in
-  let sources, _ = load_typed ~root:config.root dirs in
-  match sources with
-  | [] ->
-      Error
-        "no typed input: run `dune build` first so .cmt files exist under \
-         _build"
-  | srcs ->
-      let g = build_graph srcs in
-      let eff = Effects.analyze g (impls_of srcs) in
-      Ok (Shard_report.generate g eff srcs)
+(* --- the exactness report and R11 -------------------------------------- *)
 
 let taint_report_file = "docs/EXACTNESS.md"
 
 let taint_report config =
-  let* dirs = scan_dirs config.root in
-  let sources, _ = load_typed ~root:config.root dirs in
-  match sources with
-  | [] ->
-      Error
-        "no typed input: run `dune build` first so .cmt files exist under \
-         _build"
-  | srcs ->
-      let g = build_graph srcs in
-      let tnt = Taint.analyze g (impls_of srcs) in
-      Ok (Protocol_rules.exactness_report tnt g srcs)
+  let* srcs = load_lib ~root:config.root in
+  let g = build_graph srcs in
+  let tnt = Taint.analyze g (impls_of srcs) in
+  Ok (Protocol_rules.exactness_report tnt g srcs)
 
 (* R11 lives here rather than in [Typed_rules]: drift is a property of
    the lint root (the committed file), not of the typed trees. The
    finding attaches to the report file itself, which is never scanned,
    so the caller appends it to the stream directly — suppression
    directives cannot apply, the baseline still can. *)
-let r11_drift config g eff srcs =
-  let want = Shard_report.generate g eff srcs in
-  let mk msg =
-    [
-      Lint_finding.v ~rule:Lint_finding.R11 ~file:shard_report_file ~line:1
-        ~col:0 ~key:"drift:par-report" msg;
-    ]
-  in
-  match read_file (Filename.concat config.root shard_report_file) with
-  | Error _ ->
-      mk
-        "the shard-safety report is missing: generate it with `dune exec \
-         bin/lint.exe -- --root . --par-report > docs/SHARD_SAFETY.md` and \
-         commit it"
-  | Ok have ->
-      if have = want then []
-      else
-        mk
-          "the shard-safety report is stale: an entry point's inferred \
-           effect signature changed; regenerate with `dune exec bin/lint.exe \
-           -- --root . --par-report > docs/SHARD_SAFETY.md` and review which \
-           entry points gained or lost shard-safety before committing"
-
-(* Same committed-report discipline for the exactness boundary: R11
-   with key [drift:taint-report] against [docs/EXACTNESS.md]. *)
-let r11_taint_drift config tnt g srcs =
+let r11_drift config tnt g srcs =
   let want = Protocol_rules.exactness_report tnt g srcs in
   let mk msg =
     [
@@ -391,46 +350,39 @@ let run config =
         parse_baseline contents
   in
   let* dirs = scan_dirs config.root in
-  let typed_sources, degraded =
-    if config.typed then load_typed ~root:config.root dirs else ([], [])
-  in
-  (* One graph + one effect pass feed the typed rules, R11's drift
-     check, and (via [par_report]) the report itself. *)
+  let* typed_sources = load_typed ~root:config.root dirs in
+  let enabled r = List.mem r config.rules in
   let typed_findings, r11_findings =
     match typed_sources with
     | [] -> ([], [])
     | srcs ->
         let g = build_graph srcs in
-        let eff = Effects.analyze g (impls_of srcs) in
-        (* The taint pass feeds both the protocol rules and the
-           exactness half of R11's drift check; compute it once, and
-           only when something enabled wants it. *)
-        let need_taint =
-          List.exists
-            (fun r -> List.mem r config.rules)
-            [
-              Lint_finding.R11; Lint_finding.R12; Lint_finding.R13;
-              Lint_finding.R14;
-            ]
-        in
+        (* The taint pass feeds both the protocol rules and R11's drift
+           check; compute it once, and only when something enabled
+           wants it. *)
         let tnt =
-          if need_taint then Some (Taint.analyze g (impls_of srcs)) else None
+          if
+            List.exists enabled
+              [
+                Lint_finding.R11; Lint_finding.R12; Lint_finding.R13;
+                Lint_finding.R14;
+              ]
+          then Some (Taint.analyze g (impls_of srcs))
+          else None
         in
-        let proto =
+        let proto, r11 =
           match tnt with
-          | Some tnt -> Protocol_rules.run ~rules:config.rules tnt g srcs
-          | None -> []
+          | Some tnt ->
+              ( Protocol_rules.run ~rules:config.rules tnt g srcs,
+                if enabled Lint_finding.R11 then r11_drift config tnt g srcs
+                else [] )
+          | None -> ([], [])
         in
         ( List.filter
-            (fun (f : Lint_finding.t) -> List.mem f.rule config.rules)
-            (Typed_rules.run ~effects:eff g srcs)
+            (fun (f : Lint_finding.t) -> enabled f.rule)
+            (Typed_rules.run g srcs)
           @ proto,
-          if List.mem Lint_finding.R11 config.rules then
-            r11_drift config g eff srcs
-            @ (match tnt with
-              | Some tnt -> r11_taint_drift config tnt g srcs
-              | None -> [])
-          else [] )
+          r11 )
   in
   let typed_by_file = Hashtbl.create 32 in
   List.iter
@@ -442,12 +394,6 @@ let run config =
       in
       Hashtbl.replace typed_by_file f.file (f :: prev))
     typed_findings;
-  let typed_covered = Hashtbl.create 32 in
-  List.iter
-    (fun (s : Typed_rules.source) ->
-      Hashtbl.replace typed_covered s.Typed_rules.s_file ())
-    typed_sources;
-  let enabled r = List.mem r config.rules in
   let* per_dir =
     List.fold_left
       (fun acc ds ->
@@ -465,22 +411,13 @@ let run config =
               let fs_path = Filename.concat ds.ds_path file in
               let rel_path = Filename.concat ds.ds_rel file in
               let* src = Lint_source.load ~path:rel_path fs_path in
-              (* The typed pass subsumes R1 for files it has a cmt
-                 for; files without one keep the Parsetree R1
-                 (degraded, but never silent). *)
-              let eff_rules =
-                if Hashtbl.mem typed_covered rel_path then
-                  List.filter (fun r -> r <> Lint_finding.R1) config.rules
-                else config.rules
-              in
               let extra =
                 match Hashtbl.find_opt typed_by_file rel_path with
                 | Some l -> List.rev l
                 | None -> []
               in
               let findings, nsup =
-                lint_source_counted ~extra ~rules:eff_rules
-                  ~solver:ds.ds_solver src
+                lint_source_counted ~extra ~rules:config.rules src
               in
               Ok ((1, nsup, findings) :: acc))
             (Ok [])
@@ -545,5 +482,4 @@ let run config =
       stale_baseline = List.map render stale;
       missing_file_baseline = List.map render missing_file;
       typed_modules = List.length typed_sources;
-      degraded;
     }

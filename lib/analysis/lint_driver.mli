@@ -1,14 +1,13 @@
 (** The cqlint driver: walk [lib/], [bin/] and [bench/], run the
-    enabled rules — the typed, whole-library pass where [.cmt] files
-    exist, the Parsetree rules everywhere — apply suppressions and the
-    committed baseline, and produce a report.
+    enabled rules — the Parsetree rules (R0, R2, R3, R4) everywhere,
+    the typed, whole-library pass over [lib/] — apply suppressions and
+    the committed baseline, and produce a report.
 
     The typed pass loads each library's [-bin-annot] output, builds
     one interprocedural call graph over everything it found, and
-    evaluates R1' (which subsumes the Parsetree R1 for covered files),
-    R6, R7 and R8. A module whose cmt is missing or unreadable falls
-    back to the Parsetree rules and is listed in [degraded] — reduced
-    precision is always reported, never silent.
+    evaluates R1', R6-R10 and R12-R14. Every [lib/] source must have a
+    readable [.cmt]/[.cmti]: a missing one is an internal error (run
+    [dune build @lib/all] first; [dune build @lint] does).
 
     The baseline file grandfathers pre-existing findings without
     touching the offending lines. One finding per line:
@@ -22,14 +21,13 @@
     longer match anything are reported as stale. *)
 
 val solver_dirs : string list
-(** The worst-case-exponential libraries R1/R5/R6 apply to:
+(** The worst-case-exponential libraries R1'/R6/R9 apply to:
     [core cq relational folang covergame lp linsep]. *)
 
 type config = {
   root : string;  (** directory containing [lib/] (and [bin]/[bench]) *)
   rules : Lint_finding.rule list;  (** enabled rules *)
   baseline : string option;  (** baseline file path, if any *)
-  typed : bool;  (** load cmts and run the typed pass (default true) *)
 }
 
 val default_config : root:string -> config
@@ -45,39 +43,43 @@ type report = {
       (** baseline entries whose file no longer exists — deletable,
           never fixable *)
   typed_modules : int;  (** modules the typed pass loaded cmts for *)
-  degraded : string list;
-      (** library sources with no readable annotation — Parsetree
-          fallback *)
 }
 
 val lint_source :
-  rules:Lint_finding.rule list ->
+  rules:Lint_finding.rule list -> Lint_source.t -> Lint_finding.t list
+(** Run the per-file Parsetree rules (R2, R3) on one parsed source and
+    apply its suppression directives. *)
+
+val load_dir :
+  root:string ->
+  rel_dir:string ->
+  lib_name:string ->
   solver:bool ->
-  Lint_source.t ->
-  Lint_finding.t list
-(** Run the per-file Parsetree rules on one parsed source (R1 and R5
-    gated on [solver]) and apply its suppression directives. This is
-    the unit the linter's own tests drive. *)
+  ml:string list ->
+  mli:string list ->
+  (Typed_rules.source list, string) result
+(** The typed sources of one library directory ([rel_dir] under
+    [root], dune library [lib_name]). [Error] names the first source
+    without a readable annotation. *)
+
+val load_lib : root:string -> (Typed_rules.source list, string) result
+(** {!load_dir} over every library under [root/lib] — the typed pass's
+    input. [Error] as {!load_dir}, and when no module loads. *)
 
 val run : config -> (report, string) result
 (** Lint the tree under [root]. [Error] on unreadable or unparsable
-    sources and on malformed baseline files — internal errors,
-    distinct from findings (exit 2 vs 1). *)
+    sources, on [lib/] sources without annotations and on malformed
+    baseline files — internal errors, distinct from findings (exit 2
+    vs 1). *)
 
 val callgraph : config -> (Callgraph.t, string) result
 (** Build (only) the whole-library call graph, for
     [--dump-callgraph]. *)
 
-val par_report : config -> (string, string) result
-(** Generate the shard-safety report ({!Shard_report.generate}) for the
-    tree under [root] — the exact bytes R11 expects to find committed
-    at [docs/SHARD_SAFETY.md]. [Error] when no cmts are loadable. *)
-
 val taint_report : config -> (string, string) result
 (** Generate the exactness-boundary report
     ({!Protocol_rules.exactness_report}) — the exact bytes R11 expects
-    committed at [docs/EXACTNESS.md]. [Error] when no cmts are
-    loadable. *)
+    committed at [docs/EXACTNESS.md]. *)
 
 type baseline_entry = {
   b_rule : Lint_finding.rule;

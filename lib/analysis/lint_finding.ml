@@ -4,7 +4,6 @@ type rule =
   | R2
   | R3
   | R4
-  | R5
   | R6
   | R7
   | R8
@@ -16,7 +15,7 @@ type rule =
   | R14
 
 let all_rules =
-  [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11; R12; R13; R14 ]
+  [ R1; R2; R3; R4; R6; R7; R8; R9; R10; R11; R12; R13; R14 ]
 
 let rule_to_string = function
   | R0 -> "R0"
@@ -24,7 +23,6 @@ let rule_to_string = function
   | R2 -> "R2"
   | R3 -> "R3"
   | R4 -> "R4"
-  | R5 -> "R5"
   | R6 -> "R6"
   | R7 -> "R7"
   | R8 -> "R8"
@@ -41,7 +39,6 @@ let rule_of_string = function
   | "R2" | "r2" -> Some R2
   | "R3" | "r3" -> Some R3
   | "R4" | "r4" -> Some R4
-  | "R5" | "r5" -> Some R5
   | "R6" | "r6" -> Some R6
   | "R7" | "r7" -> Some R7
   | "R8" | "r8" -> Some R8
@@ -56,8 +53,9 @@ let rule_of_string = function
 let rule_doc = function
   | R0 -> "well-formed cqlint directives (malformed/unreasoned suppressions)"
   | R1 ->
-      "budget discipline: while/for loops and self-recursive functions in \
-       solver libraries must Budget.tick"
+      "budget discipline (typed): every while/for loop and call-graph \
+       cycle in a solver library must reach Budget.tick, through any \
+       helpers"
   | R2 ->
       "exception hygiene: only Guard-convertible or local raises; _b entry \
        points must wrap their body in Guard.run"
@@ -66,9 +64,6 @@ let rule_doc = function
        values (Rat.t, Bigint.t, structural keys)"
   | R4 ->
       "interface hygiene: every library module has an .mli"
-  | R5 ->
-      "state registration: top-level mutable state in solver libraries must \
-       register with Runtime_state for abort-safety reset/validate"
   | R6 ->
       "determinism (typed): no PRNG, wall-clock, or order-dependent Hashtbl \
        iteration reachable from a solver's exported surface"
@@ -79,16 +74,15 @@ let rule_doc = function
       "_b drift (typed): budgeted _b entry points must match their \
        unbudgeted twin modulo ?budget and the Guard.failure result wrapper"
   | R9 ->
-      "effect signatures (typed): exported solver entry points must not \
-       write unregistered global state; pure / registered-cache-only \
-       signatures are certified shard-safe"
+      "state registration (typed): exported solver entry points must not \
+       write top-level mutable state that is not registered with \
+       Runtime_state for abort-safety reset/validate"
   | R10 ->
       "fork-time aliasing (typed): locally-created mutable state must not \
        escape across an Isolate.run/spawn or runner boundary"
   | R11 ->
-      "report drift: the committed docs/SHARD_SAFETY.md and \
-       docs/EXACTNESS.md reports must match what --par-report / \
-       --taint-report regenerate from the current tree"
+      "report drift: the committed docs/EXACTNESS.md must match what \
+       --taint-report regenerates from the current tree"
   | R12 ->
       "float taint (typed): no uncertified float may reach a core/linsep \
        entry point's return value or a serialized payload; \

@@ -8,26 +8,24 @@
     itself a finding, so suppressions cannot silently rot. *)
 type rule =
   | R0  (** well-formed [cqlint] directives (always on) *)
-  | R1  (** budget discipline: solver loops and recursion must tick *)
+  | R1  (** budget discipline (typed): solver loops and recursion must
+            reach [Budget.tick] *)
   | R2  (** exception hygiene: Guard-convertible raises, guarded [_b] *)
   | R3  (** comparison safety: no polymorphic compare/hash on domain types *)
   | R4  (** interface hygiene: every library module has an [.mli] *)
-  | R5  (** state registration: top-level mutable solver state registers
-            with [Runtime_state] *)
   | R6  (** determinism (typed): no PRNG/wall-clock/Hashtbl-order on paths
             from a solver's exported surface *)
   | R7  (** marshal safety (typed): Isolate-crossing result types are
             closure- and custom-block-free *)
   | R8  (** [_b] drift (typed): budgeted twins agree modulo [?budget] and
             the result wrapper *)
-  | R9  (** effect signatures (typed): exported entry points must not write
-            unregistered globals; pure/registered-cache signatures are
-            certified shard-safe *)
+  | R9  (** state registration (typed): exported solver entry points must
+            not write top-level mutable state that is not registered
+            with [Runtime_state] *)
   | R10  (** fork-time aliasing (typed): local mutable state must not escape
              across an [Isolate]/runner boundary *)
-  | R11  (** report drift: committed [docs/SHARD_SAFETY.md] /
-             [docs/EXACTNESS.md] match [--par-report] / [--taint-report]
-             regeneration *)
+  | R11  (** report drift: committed [docs/EXACTNESS.md] matches
+             [--taint-report] regeneration *)
   | R12  (** float taint (typed): no uncertified float reaches a
              core/linsep entry point's return or a serialized payload;
              [Certify.*] and exact [Rat.of_float] sanitize *)
@@ -37,10 +35,11 @@ type rule =
              handles are released on every path *)
 
 val all_rules : rule list
-(** [R1; ...; R14] — the toggleable rules ([R0] is always enabled).
-    [R6]-[R10] and [R12]-[R14] (and the interprocedural upgrade of
-    [R1]) only fire when the typed pass has [.cmt] input; [R11]
-    additionally needs a lint root with a [docs/] directory. *)
+(** [R1; ...; R14] without [R5] — the toggleable rules ([R0] is always
+    enabled). [R5], the Parsetree state-registration rule, was retired
+    in favour of [R9]; its number is not reused. [R1], [R6]-[R10] and
+    [R12]-[R14] are typed; [R11] needs a lint root with a [docs/]
+    directory. *)
 
 val rule_to_string : rule -> string
 val rule_of_string : string -> rule option

@@ -32,131 +32,20 @@ let expr_mentions pred e =
   iter_idents (fun lid -> if pred lid then found := true) e;
   !found
 
-let is_budget_tick = function
-  | Longident.Ldot (Longident.Lident "Budget", "tick") -> true
-  | _ -> false
-
-(* --- R1: budget discipline ------------------------------------------- *)
-
-(* Names of let-bound values (at any depth) whose right-hand side
-   contains a [Budget.tick] call. Used for the one-level closure: a
-   loop that calls such a function ticks through it. A binding whose
-   rhs merely *defines* an inner ticking function is over-approximated
-   as ticking — acceptable for a linter (the miss is in the quiet
-   direction and rare in this codebase). *)
-let direct_tickers structure =
-  let tickers = Hashtbl.create 16 in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      value_binding =
-        (fun self vb ->
-          (match vb.pvb_pat.ppat_desc with
-          | Ppat_var { txt; _ } when expr_mentions is_budget_tick vb.pvb_expr
-            ->
-              Hashtbl.replace tickers txt ()
-          | _ -> ());
-          Ast_iterator.default_iterator.value_binding self vb);
-    }
+(* A rule's finding sink: [report] disambiguates repeated keys within
+   the file as [key#2], [key#3], ...; [findings ()] lists them in
+   report order. *)
+let collector rule (src : Lint_source.t) =
+  let findings = ref [] in
+  let keys = Hashtbl.create 16 in
+  let report ~loc ~key msg =
+    let n = match Hashtbl.find_opt keys key with Some n -> n + 1 | None -> 1 in
+    Hashtbl.replace keys key n;
+    let key = if n = 1 then key else Printf.sprintf "%s#%d" key n in
+    findings :=
+      Lint_finding.make ~rule ~file:src.path ~loc ~key msg :: !findings
   in
-  it.structure it structure;
-  tickers
-
-let ticks_ok tickers e =
-  let ok = ref false in
-  iter_idents
-    (fun lid ->
-      if is_budget_tick lid then ok := true
-      else
-        match lid with
-        | Longident.Lident s when Hashtbl.mem tickers s -> ok := true
-        | _ -> ())
-    e;
-  !ok
-
-let r1_budget (src : Lint_source.t) =
-  match src.ast with
-  | Intf _ -> []
-  | Impl structure ->
-      let tickers = direct_tickers structure in
-      let findings = ref [] in
-      let keys = Hashtbl.create 16 in
-      let fresh_key base =
-        let n =
-          match Hashtbl.find_opt keys base with Some n -> n + 1 | None -> 1
-        in
-        Hashtbl.replace keys base n;
-        if n = 1 then base else Printf.sprintf "%s#%d" base n
-      in
-      let report ~loc ~key msg =
-        findings :=
-          Lint_finding.make ~rule:Lint_finding.R1 ~file:src.path ~loc
-            ~key:(fresh_key key) msg
-          :: !findings
-      in
-      (* Stack of enclosing binding names, for loop labels. *)
-      let context = ref [] in
-      let enclosing () =
-        match !context with [] -> "<toplevel>" | name :: _ -> name
-      in
-      let check_loop ~loc kind body =
-        if not (ticks_ok tickers body) then
-          report ~loc
-            ~key:(Printf.sprintf "%s@%s" kind (enclosing ()))
-            (Printf.sprintf
-               "%s loop in solver code without a Budget.tick on its path \
-                (inside `%s`): add Budget.tick ~what:\"...\" () to the body \
-                or have it call a same-file helper that ticks"
-               kind (enclosing ()))
-      in
-      let check_rec_binding vb =
-        match vb.pvb_pat.ppat_desc with
-        | Ppat_var { txt = name; _ }
-          when expr_mentions (fun lid -> lid = Longident.Lident name)
-                 vb.pvb_expr ->
-            if not (ticks_ok tickers vb.pvb_expr) then
-              report ~loc:vb.pvb_pat.ppat_loc
-                ~key:(Printf.sprintf "rec:%s" name)
-                (Printf.sprintf
-                   "self-recursive `%s` in solver code never calls \
-                    Budget.tick: an adversarial input can recurse past any \
-                    deadline; tick once per call or per expansion step"
-                   name)
-        | _ -> ()
-      in
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          structure_item =
-            (fun self si ->
-              (match si.pstr_desc with
-              | Pstr_value (Asttypes.Recursive, vbs) ->
-                  List.iter check_rec_binding vbs
-              | _ -> ());
-              Ast_iterator.default_iterator.structure_item self si);
-          value_binding =
-            (fun self vb ->
-              match vb.pvb_pat.ppat_desc with
-              | Ppat_var { txt; _ } ->
-                  context := txt :: !context;
-                  Ast_iterator.default_iterator.value_binding self vb;
-                  context := List.tl !context
-              | _ -> Ast_iterator.default_iterator.value_binding self vb);
-          expr =
-            (fun self e ->
-              (match e.pexp_desc with
-              | Pexp_while (_, body) ->
-                  check_loop ~loc:e.pexp_loc "while" body
-              | Pexp_for (_, _, _, _, body) ->
-                  check_loop ~loc:e.pexp_loc "for" body
-              | Pexp_let (Asttypes.Recursive, vbs, _) ->
-                  List.iter check_rec_binding vbs
-              | _ -> ());
-              Ast_iterator.default_iterator.expr self e);
-        }
-      in
-      it.structure it structure;
-      List.rev !findings
+  (report, fun () -> List.rev !findings)
 
 (* --- R2: exception hygiene ------------------------------------------- *)
 
@@ -202,21 +91,7 @@ let r2_exceptions (src : Lint_source.t) =
   | Intf _ -> []
   | Impl structure ->
       let locals = local_exceptions structure in
-      let findings = ref [] in
-      let keys = Hashtbl.create 16 in
-      let fresh_key base =
-        let n =
-          match Hashtbl.find_opt keys base with Some n -> n + 1 | None -> 1
-        in
-        Hashtbl.replace keys base n;
-        if n = 1 then base else Printf.sprintf "%s#%d" base n
-      in
-      let report ~loc ~key msg =
-        findings :=
-          Lint_finding.make ~rule:Lint_finding.R2 ~file:src.path ~loc
-            ~key:(fresh_key key) msg
-          :: !findings
-      in
+      let report, findings = collector Lint_finding.R2 src in
       let check_raise ~loc arg =
         match arg.pexp_desc with
         | Pexp_construct ({ txt; _ }, _) ->
@@ -284,7 +159,7 @@ let r2_exceptions (src : Lint_source.t) =
         }
       in
       it.structure it structure;
-      List.rev !findings
+      findings ()
 
 (* --- R3: comparison safety ------------------------------------------- *)
 
@@ -324,21 +199,7 @@ let r3_comparisons (src : Lint_source.t) =
   match src.ast with
   | Intf _ -> []
   | Impl structure ->
-      let findings = ref [] in
-      let keys = Hashtbl.create 16 in
-      let fresh_key base =
-        let n =
-          match Hashtbl.find_opt keys base with Some n -> n + 1 | None -> 1
-        in
-        Hashtbl.replace keys base n;
-        if n = 1 then base else Printf.sprintf "%s#%d" base n
-      in
-      let report ~loc ~key msg =
-        findings :=
-          Lint_finding.make ~rule:Lint_finding.R3 ~file:src.path ~loc
-            ~key:(fresh_key key) msg
-          :: !findings
-      in
+      let report, findings = collector Lint_finding.R3 src in
       let it =
         {
           Ast_iterator.default_iterator with
@@ -409,123 +270,7 @@ let r3_comparisons (src : Lint_source.t) =
         }
       in
       it.structure it structure;
-      List.rev !findings
-
-(* --- R5: runtime-state registration ---------------------------------- *)
-
-(* Modules whose [create]/[make]/[init] allocate a mutable container. *)
-let mutable_makers =
-  [ "Hashtbl"; "Queue"; "Stack"; "Buffer"; "Array"; "Weak"; "Atomic";
-    "Dynarray" ]
-
-(* Is this binding's right-hand side (head position, peeling type
-   constraints) a fresh mutable container — a [ref ...] or an
-   [M.create]/[M.make] for a mutable module M? Returns what it is, for
-   the message. *)
-let rec mutable_alloc e =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) -> mutable_alloc e
-  | Pexp_apply (f, _) -> begin
-      match f.pexp_desc with
-      | Pexp_ident { txt = Longident.Lident "ref"; _ }
-      | Pexp_ident
-          { txt = Longident.Ldot (Longident.Lident "Stdlib", "ref"); _ } ->
-          Some "ref"
-      | Pexp_ident
-          { txt = Longident.Ldot (Longident.Lident m, ("create" | "make" | "make_matrix" | "init"));
-            _ }
-        when List.mem m mutable_makers ->
-          Some (m ^ ".t")
-      | _ -> None
-    end
-  | _ -> None
-
-let is_runtime_state_register = function
-  | Longident.Ldot (Longident.Lident "Runtime_state", "register") -> true
-  | _ -> false
-
-(* Names mentioned anywhere inside the arguments of a
-   [Runtime_state.register] application: a top-level binding whose name
-   appears there has a reset (and possibly validate) path and counts as
-   registered. *)
-let registered_idents structure =
-  let names = Hashtbl.create 8 in
-  let record e =
-    iter_idents
-      (fun lid ->
-        match lid with
-        | Longident.Lident s -> Hashtbl.replace names s ()
-        | _ -> ())
-      e
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-            when is_runtime_state_register txt ->
-              List.iter (fun (_, a) -> record a) args
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self e);
-    }
-  in
-  it.structure it structure;
-  names
-
-let r5_state (src : Lint_source.t) =
-  match src.ast with
-  | Intf _ -> []
-  | Impl structure ->
-      let registered = registered_idents structure in
-      let findings = ref [] in
-      let report ~loc ~name ~what =
-        findings :=
-          Lint_finding.make ~rule:Lint_finding.R5 ~file:src.path ~loc
-            ~key:(Printf.sprintf "state:%s" name)
-            (Printf.sprintf
-               "top-level mutable state `%s` (%s) is not registered with \
-                Runtime_state: a budgeted abort can leave it stale or \
-                inconsistent with no way to reset or validate it; register \
-                it (Runtime_state.register ~name:\"...\" ...) or make it \
-                local to the computation"
-               name what)
-          :: !findings
-      in
-      let check_binding vb =
-        let name =
-          match vb.pvb_pat.ppat_desc with
-          | Ppat_var { txt; _ } -> Some txt
-          | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) ->
-              Some txt
-          | _ -> None
-        in
-        match (name, mutable_alloc vb.pvb_expr) with
-        | Some name, Some what when not (Hashtbl.mem registered name) ->
-            report ~loc:vb.pvb_pat.ppat_loc ~name ~what
-        | _ -> ()
-      in
-      (* Walk structure *items* only — recursing into nested modules but
-         never into expressions — so function-local mutable state (fine:
-         it dies with the call) is out of scope by construction. *)
-      let rec check_structure items = List.iter check_item items
-      and check_item si =
-        match si.pstr_desc with
-        | Pstr_value (_, vbs) -> List.iter check_binding vbs
-        | Pstr_module { pmb_expr; _ } -> check_module_expr pmb_expr
-        | Pstr_recmodule mbs ->
-            List.iter (fun mb -> check_module_expr mb.pmb_expr) mbs
-        | Pstr_include { pincl_mod; _ } -> check_module_expr pincl_mod
-        | _ -> ()
-      and check_module_expr me =
-        match me.pmod_desc with
-        | Pmod_structure items -> check_structure items
-        | Pmod_constraint (me, _) -> check_module_expr me
-        | _ -> ()
-      in
-      check_structure structure;
-      List.rev !findings
+      findings ()
 
 (* --- R4: .mli coverage ------------------------------------------------ *)
 

@@ -119,7 +119,10 @@ let parse_directive text =
               in
               Some
                 (Error
-                   (Printf.sprintf "unknown rule %S (expected R1..R11)" bad))
+                   (Printf.sprintf "unknown rule %S (expected one of %s)" bad
+                      (String.concat ", "
+                         (List.map Lint_finding.rule_to_string
+                            Lint_finding.all_rules))))
             else if List.exists (fun r -> r = Some Lint_finding.R0) rules then
               Some (Error "R0 (directive hygiene) cannot be suppressed")
             else

@@ -21,10 +21,10 @@ let head_name (e : Typedtree.expression) =
   | Texp_ident (p, _, _) -> Callgraph.global_name p
   | _ -> None
 
-let head_node g (e : Typedtree.expression) =
+let head_node g ~modname (e : Typedtree.expression) =
   match e.exp_desc with
   | Texp_ident (p, _, _) -> (
-      match Callgraph.resolve g p with
+      match Callgraph.resolve g ~modname p with
       | Some id when (Callgraph.node g id).Callgraph.kind = Callgraph.Def ->
           Some id
       | _ -> None)
@@ -115,6 +115,7 @@ let default_service_scope (s : Typed_rules.source) =
 
 type jctx = {
   jc_g : Callgraph.t;
+  jc_mod : string;  (* the walked body's compilation unit *)
   jc_djs : bool array;  (* "calling this node definitely journals" *)
   jc_heads : string -> bool;
 }
@@ -135,7 +136,7 @@ let rec dj ctx (e : Typedtree.expression) =
         match head_name hd with
         | Some n when ctx.jc_heads n -> true
         | _ -> (
-            match head_node ctx.jc_g hd with
+            match head_node ctx.jc_g ~modname:ctx.jc_mod hd with
             | Some id -> ctx.jc_djs.(id) || arg_dj
             | None -> arg_dj))
     | Texp_let (_, vbs, b) ->
@@ -250,7 +251,14 @@ let r13_journal ?(in_scope = default_service_scope)
     tnt g sources =
   let bodies = Taint.bodies tnt in
   let djs = Array.make (Callgraph.size g) false in
-  let ctx = { jc_g = g; jc_djs = djs; jc_heads = (fun n -> n = "Wal.append") } in
+  let ctx_for id =
+    {
+      jc_g = g;
+      jc_mod = (Callgraph.node g id).Callgraph.modname;
+      jc_djs = djs;
+      jc_heads = (fun n -> n = "Wal.append");
+    }
+  in
   (* Bottom-up summaries; bodies come in ascending SCC order, so one
      extra sweep settles within-SCC recursion. *)
   let changed = ref true in
@@ -258,7 +266,7 @@ let r13_journal ?(in_scope = default_service_scope)
     changed := false;
     List.iter
       (fun (id, body) ->
-        if (not djs.(id)) && dj_def ctx body then begin
+        if (not djs.(id)) && dj_def (ctx_for id) body then begin
           djs.(id) <- true;
           changed := true
         end)
@@ -296,7 +304,7 @@ let r13_journal ?(in_scope = default_service_scope)
                   ~line:(loc_line loc) ~col:(loc_col loc) ~key msg
                 :: !findings
           in
-          ignore (jwalk ctx ~emit ~ack false body)
+          ignore (jwalk (ctx_for id) ~emit ~ack false body)
       | _ -> ())
     bodies;
   List.rev !findings
@@ -340,7 +348,7 @@ let mentions stamps (e : Typedtree.expression) =
    someone else's to close (the quiet direction). Mentions in argument
    position of an unknown external (Unix.read, comparisons, the
    Fun.protect closures) are uses, not escapes. *)
-let escapes g stamps (body : Typedtree.expression) =
+let escapes g ~modname stamps (body : Typedtree.expression) =
   let esc = ref false in
   let is_stamp p =
     match Callgraph.local_key p with
@@ -354,7 +362,9 @@ let escapes g stamps (body : Typedtree.expression) =
         go true hd;
         let escaping_args =
           match head_name hd with
-          | Some _ -> head_node g hd <> None  (* defined: escape; external: use *)
+          | Some _ ->
+              (* defined: escape; external: use *)
+              head_node g ~modname hd <> None
           | None -> true  (* computed head: conservative *)
         in
         List.iter
@@ -486,7 +496,9 @@ let r14_release ?(in_scope = fun _ -> true) tnt g sources =
                             in
                             if
                               stamps <> []
-                              && (not (escapes g stamps letbody))
+                              && (not
+                                    (escapes g ~modname:n.Callgraph.modname
+                                       stamps letbody))
                               && not (released g stamps letbody)
                             then
                               let short =

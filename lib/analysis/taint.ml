@@ -75,9 +75,12 @@ let touches_float t id = t.t_flo.(id)
 let bodies t = t.t_bodies
 
 (* Local environments map stamped ident keys to witnesses; absent =
-   clean. Stamps are globally unique, so one mutable table per body is
-   safe across branches and shadowing. *)
-type env = (string, string) Hashtbl.t
+   clean. Stamps are unique within a compilation unit, so one mutable
+   table per body is safe across branches and shadowing; [modname] is
+   the body's unit, for resolving its local mentions. *)
+type env = { modname : string; vars : (string, string) Hashtbl.t }
+
+let new_env modname = { modname; vars = Hashtbl.create 16 }
 
 let ( <|> ) a b = match a with Some _ -> a | None -> b ()
 
@@ -95,8 +98,8 @@ let bind_idents (env : env) pat w =
     (fun id ->
       let k = Ident.unique_name id in
       match w with
-      | Some why -> Hashtbl.replace env k why
-      | None -> Hashtbl.remove env k)
+      | Some why -> Hashtbl.replace env.vars k why
+      | None -> Hashtbl.remove env.vars k)
     (Typedtree.pat_bound_idents pat)
 
 (* --- the taint interpreter -------------------------------------------- *)
@@ -164,7 +167,7 @@ and children_or t env e =
 
 and ident_taint t env e p =
   match Callgraph.local_key p with
-  | Some k when Hashtbl.mem env k -> Some (Hashtbl.find env k)
+  | Some k when Hashtbl.mem env.vars k -> Some (Hashtbl.find env.vars k)
   | _ -> (
       match Callgraph.global_name p with
       | Some n when sanitizer_head n -> None
@@ -172,7 +175,7 @@ and ident_taint t env e p =
           Some (Printf.sprintf "%s at %s" n (anchor e))
       | Some n when trusted_head n -> None
       | _ -> (
-          match Callgraph.resolve t.t_graph p with
+          match Callgraph.resolve t.t_graph ~modname:env.modname p with
           | Some id -> t.t_ret.(id)
           | None -> None))
 
@@ -193,9 +196,9 @@ and apply_taint t env e hd args =
       | Some n when trusted_head n -> None
       | _ -> (
           match Callgraph.local_key p with
-          | Some k when Hashtbl.mem env k -> Some (Hashtbl.find env k)
+          | Some k when Hashtbl.mem env.vars k -> Some (Hashtbl.find env.vars k)
           | _ -> (
-              match Callgraph.resolve t.t_graph p with
+              match Callgraph.resolve t.t_graph ~modname:env.modname p with
               | Some id ->
                   (* Defined callee: the summary only. Arguments are
                      deliberately dropped — that is what makes a
@@ -209,10 +212,10 @@ and apply_taint t env e hd args =
 
 (* --- float reachability ----------------------------------------------- *)
 
-let local_floats t (e : Typedtree.expression) =
+let local_floats t ~modname (e : Typedtree.expression) =
   let found = ref false in
   let callee_hit p =
-    match Callgraph.resolve t.t_graph p with
+    match Callgraph.resolve t.t_graph ~modname p with
     | Some id ->
         t.t_flo.(id)
         && not
@@ -303,18 +306,20 @@ let analyze g impls =
         changed := false;
         List.iter
           (fun (id, body) ->
-            let summary_name =
-              (Callgraph.node g id).Callgraph.name
-            in
+            let node = Callgraph.node g id in
             (if t.t_ret.(id) = None then
-               let env = Hashtbl.create 16 in
-               match eval t env body with
+               match eval t (new_env node.Callgraph.modname) body with
                | Some why ->
                    t.t_ret.(id) <-
-                     Some (Printf.sprintf "%s \xe2\x86\x90 %s" summary_name why);
+                     Some
+                       (Printf.sprintf "%s \xe2\x86\x90 %s" node.Callgraph.name
+                          why);
                    changed := true
                | None -> ());
-            if (not t.t_flo.(id)) && local_floats t body then begin
+            if
+              (not t.t_flo.(id))
+              && local_floats t ~modname:node.Callgraph.modname body
+            then begin
               t.t_flo.(id) <- true;
               changed := true
             end)
@@ -328,7 +333,7 @@ let analyze g impls =
 let scan_calls t ~heads k =
   List.iter
     (fun (node, body) ->
-      let env : env = Hashtbl.create 16 in
+      let env = new_env (Callgraph.node t.t_graph node).Callgraph.modname in
       let rec scan (e : Typedtree.expression) =
         (match e.exp_desc with
         | Texp_let (_, vbs, _) ->

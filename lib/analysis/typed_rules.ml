@@ -1,4 +1,4 @@
-(* The typed rules (R1', R6, R7, R8), on top of the whole-library
+(* The typed rules (R1', R6-R10), on top of the whole-library
    mention graph built by [Callgraph] from dune's [-bin-annot] output.
 
    Version discipline matches [Callgraph]: only 4.14..5.x-stable
@@ -114,10 +114,11 @@ let sink_of name =
     | _ -> None
 
 (* The root set results flow out of: every value a solver module's
-   interface exports. Without a cmti (or for an .ml-only module) every
-   top-level definition is a root — degraded towards more coverage,
-   never less. *)
-let exported_roots g sources =
+   interface exports, as [(module source, exported name, graph node)].
+   Without a cmti (or for an .ml-only module) every top-level
+   definition is a root — degraded towards more coverage, never less.
+   R6, R9 and R12 all start here. *)
+let entry_points g sources =
   List.concat_map
     (fun s ->
       if not s.s_solver then []
@@ -128,22 +129,27 @@ let exported_roots g sources =
               (fun (item : Typedtree.signature_item) ->
                 match item.Typedtree.sig_desc with
                 | Typedtree.Tsig_value vd ->
-                    Callgraph.find_global g
-                      (s.s_mod ^ "." ^ vd.Typedtree.val_name.Location.txt)
+                    let name = vd.Typedtree.val_name.Location.txt in
+                    Option.map
+                      (fun id -> (s, name, id))
+                      (Callgraph.find_global g (s.s_mod ^ "." ^ name))
                 | _ -> None)
               sg.Typedtree.sig_items
         | None ->
             List.filter_map
               (fun (n : Callgraph.node) ->
                 if n.modname = s.s_mod && n.toplevel && n.kind = Callgraph.Def
-                then Some n.id
+                then Some (s, n.short, n.id)
                 else None)
               (Callgraph.nodes g))
     sources
 
 let r6_determinism g sources =
   let file_of = solver_files sources in
-  let covered = Callgraph.reachable_from g (exported_roots g sources) in
+  let covered =
+    Callgraph.reachable_from g
+      (List.map (fun (_, _, id) -> id) (entry_points g sources))
+  in
   let fresh = keyed () in
   let ms =
     List.sort
@@ -586,36 +592,7 @@ let r8_drift sources =
               vals)
     sources
 
-(* --- R9: effect signatures on exported entry points -------------------- *)
-
-(* [exported_roots], but keeping the provenance: which module exports
-   which name, and which graph node it resolved to. The shard-safety
-   report and R9 both consume this. *)
-let entry_points g sources =
-  List.concat_map
-    (fun s ->
-      if not s.s_solver then []
-      else
-        match s.s_intf with
-        | Some sg ->
-            List.filter_map
-              (fun (item : Typedtree.signature_item) ->
-                match item.Typedtree.sig_desc with
-                | Typedtree.Tsig_value vd ->
-                    let name = vd.Typedtree.val_name.Location.txt in
-                    Option.map
-                      (fun id -> (s, name, id))
-                      (Callgraph.find_global g (s.s_mod ^ "." ^ name))
-                | _ -> None)
-              sg.Typedtree.sig_items
-        | None ->
-            List.filter_map
-              (fun (n : Callgraph.node) ->
-                if n.modname = s.s_mod && n.toplevel && n.kind = Callgraph.Def
-                then Some (s, n.short, n.id)
-                else None)
-              (Callgraph.nodes g))
-    sources
+(* --- R9: state registration on exported entry points ------------------ *)
 
 let r9_effects g eff sources =
   let fresh = keyed () in
@@ -632,10 +609,11 @@ let r9_effects g eff sources =
                ~key:(fresh s.s_file ("effect:" ^ name))
                (Printf.sprintf
                   "exported entry point `%s` writes unregistered global \
-                   state (%s) — inferred effect %s: an Isolate fork \
-                   worker would inherit the mutation without a reset; \
-                   register the cache with Runtime_state (with a \
-                   validator) or localize the state"
+                   state (%s) — inferred effect %s: a budget abort can \
+                   leave it stale, and an Isolate fork worker would \
+                   inherit the mutation without a reset; register the \
+                   cache with Runtime_state (with a validator) or \
+                   localize the state"
                   name
                   (String.concat ", "
                      (List.map
@@ -654,37 +632,29 @@ let r10_escape sources =
   List.concat_map
     (fun s ->
       let fresh = keyed () in
-      List.filter_map
+      List.map
         (fun (e : Escape.escape) ->
-          match e.Escape.esc_kind with
-          | Escape.Stored_global _ -> None
-          | Escape.Fork_boundary head ->
-              Some
-                (Lint_finding.v ~rule:Lint_finding.R10 ~file:s.s_file
-                   ~line:e.Escape.esc_line ~col:e.Escape.esc_col
-                   ~key:
-                     (fresh s.s_file
-                        (Printf.sprintf "escape:%s@%s" e.Escape.esc_name
-                           e.Escape.esc_encl))
-                   (Printf.sprintf
-                      "local mutable `%s` (%s) escapes across `%s` (line \
-                       %d): after the fork the worker mutates a copy and \
-                       the writes are lost at the merge — move the \
-                       allocation inside the thunk or return the data \
-                       through the result channel"
-                      e.Escape.esc_name e.Escape.esc_what head
-                      e.Escape.esc_bline)))
+          Lint_finding.v ~rule:Lint_finding.R10 ~file:s.s_file
+            ~line:e.Escape.esc_line ~col:e.Escape.esc_col
+            ~key:
+              (fresh s.s_file
+                 (Printf.sprintf "escape:%s@%s" e.Escape.esc_name
+                    e.Escape.esc_encl))
+            (Printf.sprintf
+               "local mutable `%s` (%s) escapes across `%s` (line %d): \
+                after the fork the worker mutates a copy and the writes \
+                are lost at the merge — move the allocation inside the \
+                thunk or return the data through the result channel"
+               e.Escape.esc_name e.Escape.esc_what e.Escape.esc_head
+               e.Escape.esc_bline))
         (Escape.analyze s.s_impl))
     sources
 
 (* --- entry point ------------------------------------------------------- *)
 
-let run ?effects g sources =
+let run g sources =
   let eff =
-    match effects with
-    | Some e -> e
-    | None ->
-        Effects.analyze g (List.map (fun s -> (s.s_mod, s.s_impl)) sources)
+    Effects.analyze g (List.map (fun s -> (s.s_mod, s.s_impl)) sources)
   in
   let tbl = type_table sources in
   r1_tick g sources @ r6_determinism g sources @ r7_marshal tbl sources

@@ -4,8 +4,8 @@
     - {b R1'} — interprocedural budget discipline: every [while]/[for]
       loop and every call-graph cycle in a solver module must reach
       [Budget.tick], through any number of (cross-module) helpers.
-      Reported under [R1] with the same keys as the Parsetree rule, so
-      existing suppressions and baseline entries keep working.
+      Reported under [R1] with keys [while@encl], [for@encl] and
+      [rec:name].
     - {b R6} — determinism: no PRNG, wall-clock read, or
       order-dependent [Hashtbl] iteration on any path reachable from a
       solver module's exported surface ([Budget.Clock] is exempt: it
@@ -17,18 +17,16 @@
     - {b R8} — [_b] drift: each budgeted [_b] entry point in an
       interface must agree with its unbudgeted twin modulo the
       [?budget] argument and the [(_, Guard.failure) result] wrapper.
-    - {b R9} — effect signatures: every exported solver entry point
-      gets an inferred {!Effects} signature; writing a global that is
-      not [Runtime_state]-registered is a finding. Pure and
-      registered-cache-only entry points are certified shard-safe in
-      the [--par-report] output.
+    - {b R9} — state registration: every exported solver entry point
+      gets an inferred {!Effects} signature; writing a top-level
+      mutable that is not [Runtime_state]-registered is a finding.
     - {b R10} — fork-time aliasing: a locally-created mutable value
       ({!Escape}) must not cross an [Isolate.run]/[Isolate.spawn] or
       runner-field boundary, directly or captured in a closure.
 
-    (R11, shard-safety {e drift}, lives in {!Lint_driver}: it compares
-    the committed report file against regeneration, which needs the
-    lint root rather than typed trees.)
+    (R11, report {e drift}, lives in {!Lint_driver}: it compares the
+    committed [docs/EXACTNESS.md] against regeneration, which needs
+    the lint root rather than typed trees.)
 
     Suppression directives and the baseline are applied by the caller
     (the driver merges these findings into the per-file stream before
@@ -43,19 +41,14 @@ type source = {
   s_intf : Typedtree.signature option;
 }
 
-val run : ?effects:Effects.t -> Callgraph.t -> source list -> Lint_finding.t list
+val run : Callgraph.t -> source list -> Lint_finding.t list
 (** All typed findings over the loaded set, unfiltered and unsorted.
     The graph must have been built from exactly the [s_impl]s of
-    [sources] (plus any extra context modules). [?effects] lets the
-    driver share one {!Effects.analyze} pass with the shard-safety
-    report; omitted, it is computed here. *)
-
-val exported_roots : Callgraph.t -> source list -> int list
-(** R6's root set: nodes for every value exported by a solver module's
-    interface — or, without a [cmti], every top-level definition of
-    the module (degrading towards more coverage). Exposed for tests
-    and [--dump-callgraph] diagnostics. *)
+    [sources] (plus any extra context modules). *)
 
 val entry_points : Callgraph.t -> source list -> (source * string * int) list
-(** {!exported_roots} with provenance: [(module source, exported name,
-    graph node)] — the shared input of R9 and {!Shard_report}. *)
+(** The exported surface of the solver modules, as [(module source,
+    exported name, graph node)]: every value a solver module's
+    interface exports — or, without a [cmti], every top-level
+    definition of the module (degrading towards more coverage). The
+    root set of R6, R9 and R12. *)

@@ -503,11 +503,9 @@ let equiv_classes ~k d entities =
   let m = preorder ~k d entities in
   let assigned = Array.make n false in
   let classes = ref [] in
-  (* cqlint: allow R1 — grouping pass bounded by the entity count *)
   for i = 0 to n - 1 do
     if not assigned.(i) then begin
       let cls = ref [] in
-      (* cqlint: allow R1 — grouping pass bounded by the entity count *)
       for j = n - 1 downto 0 do
         if (not assigned.(j)) && m.(i).(j) && m.(j).(i) then begin
           assigned.(j) <- true;

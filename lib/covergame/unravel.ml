@@ -64,7 +64,6 @@ let node_count ~k ~depth d =
          (fun set -> not (Elem.Set.is_empty set))
          (Cover_game.covered_subsets ~k d))
   in
-  (* cqlint: allow R1 — arithmetic recursion bounded by the unraveling depth *)
   let rec go level acc width =
     if level > depth then acc else go (level + 1) (acc + width) (width * s)
   in

@@ -202,7 +202,6 @@ let ghw q =
   | Some k -> k
   | None ->
       let upper = max 0 (Cq.num_atoms q) in
-      (* cqlint: allow R1 — every probe runs the ticking ghw_le search *)
       let rec go k =
         if k > upper then upper else if ghw_le q k then k else go (k + 1)
       in

@@ -106,7 +106,6 @@ let fit ?(config = default_config) ~xs ~ys () =
     g.(d) <- 0.0;
     for i = 0 to n - 1 do
       let c = -.ys.(i) *. sigmoid (-.ys.(i) *. margin i v) in
-      (* cqlint: allow R1 — row update bounded by the feature dimension *)
       for j = 0 to d - 1 do
         g.(j) <- g.(j) +. (c *. xs.(i).(j))
       done;
@@ -152,7 +151,6 @@ let fit ?(config = default_config) ~xs ~ys () =
          if !iters = 0 then 0.0
          else begin
            let num = ref 0.0 and den = ref 0.0 in
-           (* cqlint: allow R1 — PR+ coefficients bounded by the dimension *)
            for j = 0 to dim - 1 do
              num := !num +. (precond.(j) *. g.(j) *. (g.(j) -. g_prev.(j)));
              den := !den +. (precond.(j) *. g_prev.(j) *. g_prev.(j))
@@ -161,7 +159,6 @@ let fit ?(config = default_config) ~xs ~ys () =
          end
        in
        let descent = ref 0.0 in
-       (* cqlint: allow R1 — direction update bounded by the dimension *)
        for j = 0 to dim - 1 do
          dir.(j) <- (-.precond.(j) *. g.(j)) +. (beta *. dir.(j));
          descent := !descent +. (dir.(j) *. g.(j))
@@ -170,7 +167,6 @@ let fit ?(config = default_config) ~xs ~ys () =
          (* Not a descent direction: restart on preconditioned
             steepest descent. *)
          descent := 0.0;
-         (* cqlint: allow R1 — restart bounded by the dimension *)
          for j = 0 to dim - 1 do
            dir.(j) <- -.precond.(j) *. g.(j);
            descent := !descent +. (dir.(j) *. g.(j))

@@ -398,7 +398,6 @@ let rec descend ctx dom =
   done;
   if !best < 0 then raise (Solved dom);
   let x = !best in
-  (* cqlint: allow R1 — one scan of a domain; each branch ticks below *)
   for v = 0 to nv - 1 do
     if Bytes.get dom ((x * nv) + v) = present then begin
       Budget.tick ~what:"hom: consistent search" ();

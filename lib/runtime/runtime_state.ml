@@ -4,8 +4,8 @@
    chaos injection), so a cache or memo table that lives at module top
    level must be resettable and self-checkable from one choke point —
    otherwise a chaos test has no way to prove an abort left it sound.
-   cqlint rule R5 rejects top-level mutable state in solver directories
-   that never registers here.
+   cqlint rule R9 rejects a solver entry point that writes top-level
+   mutable state that never registers here.
 
    Entries carry a [kind]: [`Cache] for state that is semantically
    transparent (resetting it costs recomputation, never correctness)

@@ -7,8 +7,8 @@
     ideally, an internal-consistency [validate]. The chaos test suite
     uses the registry as its single choke point: reset everything
     before a seeded run, validate everything after an abort. cqlint
-    rule R5 enforces registration for top-level mutable bindings in
-    solver directories.
+    rule R9 enforces registration for top-level mutable bindings that
+    an exported solver entry point writes.
 
     Registration happens at module initialization
     ([let () = Runtime_state.register ...]) and is not thread-safe —

@@ -6,7 +6,6 @@ let fingerprint x = Hashtbl.hash x
 (* cqlint: allow R3 — fixture: operands are canonical by construction *)
 let reaches_one a b = Rat.add a b = Rat.one
 
-(* cqlint: allow R5 — fixture: exercising R3, not state registration *)
 let cache = Hashtbl.create 7
 
 (* cqlint: allow R3 — fixture: table is per-call and tiny *)

@@ -1,5 +1,5 @@
 (* R0 fixture: the directive below has no reason, so it must not
-   suppress the recursion finding and must itself be reported. *)
+   suppress the R3 finding and must itself be reported. *)
 
-(* cqlint: allow R1 *)
-let rec explore n = if n = 0 then [] else n :: explore (n - 1)
+(* cqlint: allow R3 *)
+let fingerprint x = Hashtbl.hash x

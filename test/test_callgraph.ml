@@ -1,9 +1,9 @@
 (* The typed pass end-to-end: build the mention graph from the
    tf_fixtures cmts and check that every typed rule fires (and stays
-   quiet) exactly where the fixtures say. The load-bearing case is the
-   regression lock: a cross-module non-ticking solver loop that the
-   Parsetree R1 passes must be caught by R1', and the Parsetree R1's
-   cross-module false positive must be gone. *)
+   quiet) exactly where the fixtures say. The load-bearing case is
+   cross-module resolution: a non-ticking solver loop whose helper
+   merely shares a name with a ticking one must be caught by R1', and
+   a loop that ticks through another module's helper must not be. *)
 
 let check = Alcotest.check
 let keys_c = Alcotest.(list (pair string string))
@@ -21,28 +21,15 @@ let all_mli =
   [ "tf_r6_random.mli"; "tf_r6_clock.mli"; "tf_r6_floatfold.mli";
     "tf_drift.mli"; "tf_numeric_drift.mli" ]
 
-let units =
-  lazy
-    (Lint_cmt.load_units ~root:"." ~rel_dir:fixture_dir
-       ~lib_name:"tf_fixtures" ~ml:all_ml ~mli:all_mli)
+let load ~lib_name ~ml ~mli =
+  Lint_driver.load_dir ~root:"." ~rel_dir:fixture_dir ~lib_name ~solver:true
+    ~ml ~mli
 
 let sources =
   lazy
-    (List.filter_map
-       (fun (u : Lint_cmt.unit_info) ->
-         match (u.u_impl, u.u_ml) with
-         | Some impl, Some file ->
-             Some
-               {
-                 Typed_rules.s_mod = u.u_module;
-                 s_file = file;
-                 s_mli = u.u_mli;
-                 s_solver = true;
-                 s_impl = impl;
-                 s_intf = u.u_intf;
-               }
-         | _ -> None)
-       (Lazy.force units))
+    (match load ~lib_name:"tf_fixtures" ~ml:all_ml ~mli:all_mli with
+    | Ok srcs -> srcs
+    | Error msg -> Alcotest.fail msg)
 
 let graph =
   lazy
@@ -68,18 +55,15 @@ let rule_keys findings =
          (Lint_finding.rule_to_string f.rule, f.key))
        findings)
 
-let load name =
+let load_src name =
   match Lint_source.load (fixture name) with
   | Ok src -> src
   | Error msg -> Alcotest.failf "fixture %s: %s" name msg
 
-let parsetree_r1 name =
-  Lint_driver.lint_source ~rules:[ Lint_finding.R1 ] ~solver:true (load name)
-
 (* Apply the file's own suppression directives, the way the driver
    does, and return (surviving keys, suppressed count). *)
 let after_suppression name =
-  let survivors, n = Lint_source.apply (load name) (findings_for name) in
+  let survivors, n = Lint_source.apply (load_src name) (findings_for name) in
   (rule_keys survivors, n)
 
 let loop_node m =
@@ -102,23 +86,42 @@ let def_id name =
 (* --- loading ---------------------------------------------------------- *)
 
 let test_cmts_load () =
-  check
-    Alcotest.(list string)
-    "every fixture cmt is readable" []
-    (Lint_cmt.degraded_sources (Lazy.force units))
+  check Alcotest.int "every fixture module loads" (List.length all_ml)
+    (List.length (Lazy.force sources))
 
-let test_missing_cmt_degrades () =
-  let units =
-    Lint_cmt.load_units ~root:"." ~rel_dir:fixture_dir
-      ~lib_name:"no_such_lib" ~ml:[ "tf_scc.ml" ] ~mli:[]
-  in
-  check
-    Alcotest.(list string)
-    "a missing objs dir degrades the module, not the run"
-    [ fixture "tf_scc.ml" ]
-    (Lint_cmt.degraded_sources units);
+let test_missing_cmt_is_an_error () =
+  check Alcotest.bool "a fixture dir without its objs dir is an Error" true
+    (Result.is_error
+       (load ~lib_name:"no_such_lib" ~ml:[ "tf_scc.ml" ] ~mli:[]));
   check Alcotest.bool "read_impl on a missing file is an Error" true
-    (Result.is_error (Lint_cmt.read_impl (fixture "absent.cmt")))
+    (Result.is_error (Lint_cmt.read_impl (fixture "absent.cmt")));
+  (* The whole driver: a lib/ source that was never compiled. *)
+  let root = Filename.temp_file "cqlint_root" "" in
+  Sys.remove root;
+  let lib = Filename.concat (Filename.concat root "lib") "fresh" in
+  List.iter
+    (fun d -> Sys.mkdir d 0o755)
+    [ root; Filename.concat root "lib"; lib ];
+  let write name text =
+    let oc = open_out (Filename.concat lib name) in
+    output_string oc text;
+    close_out oc
+  in
+  write "dune" "(library (name fresh))\n";
+  write "fresh.ml" "let x = 1\n";
+  write "fresh.mli" "val x : int\n";
+  let result = Lint_driver.run (Lint_driver.default_config ~root) in
+  List.iter
+    (fun f -> Sys.remove (Filename.concat lib f))
+    [ "dune"; "fresh.ml"; "fresh.mli" ];
+  List.iter Sys.rmdir [ lib; Filename.concat root "lib"; root ];
+  match result with
+  | Ok _ -> Alcotest.fail "linting an uncompiled lib/ source must fail"
+  | Error msg ->
+      check Alcotest.string "names the file and the build step"
+        "lib/fresh/fresh.ml: no readable .cmt/.cmti annotation under _build \
+         (library fresh); run `dune build @lib/all` first"
+        msg
 
 (* --- graph shape ------------------------------------------------------ *)
 
@@ -148,20 +151,13 @@ let test_scc_detection () =
 (* --- R1' -------------------------------------------------------------- *)
 
 let test_r1_regression_lock () =
-  (* The acceptance criterion: the shadowing fixture passes the
-     Parsetree R1 (false negative) and is caught by the typed pass. *)
-  check keys_c "Parsetree R1 credits the shadowed name" []
-    (rule_keys (parsetree_r1 "tf_cross_loop.ml"));
+  (* The shadowed [step] resolves to the non-ticking helper. *)
   check keys_c "R1' resolves it and flags the loop"
     [ ("R1", "while@drain") ]
     (rule_keys (findings_for "tf_cross_loop.ml"))
 
 let test_r1_cross_module_tick_clean () =
-  (* The dual: the Parsetree R1 cannot credit an Ldot tick (false
-     positive); the typed pass follows the call. *)
-  check keys_c "Parsetree R1 false-positives on the Ldot tick"
-    [ ("R1", "while@drain") ]
-    (rule_keys (parsetree_r1 "tf_cross_tick.ml"));
+  (* The loop ticks through [Tf_cross_helper]: R1' follows the call. *)
   check keys_c "R1' follows the cross-module call" []
     (rule_keys (findings_for "tf_cross_tick.ml"))
 
@@ -247,8 +243,8 @@ let () =
       ( "loading",
         [
           Alcotest.test_case "fixture cmts load" `Quick test_cmts_load;
-          Alcotest.test_case "missing cmt degrades" `Quick
-            test_missing_cmt_degrades;
+          Alcotest.test_case "missing cmt is a driver error" `Quick
+            test_missing_cmt_is_an_error;
         ] );
       ( "graph",
         [

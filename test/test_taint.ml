@@ -18,21 +18,11 @@ let all_ml =
   ]
 
 let load ~rel_dir ~lib_name ~ml =
-  List.filter_map
-    (fun (u : Lint_cmt.unit_info) ->
-      match (u.u_impl, u.u_ml) with
-      | Some impl, Some file ->
-          Some
-            {
-              Typed_rules.s_mod = u.u_module;
-              s_file = file;
-              s_mli = u.u_mli;
-              s_solver = true;
-              s_impl = impl;
-              s_intf = u.u_intf;
-            }
-      | _ -> None)
-    (Lint_cmt.load_units ~root:"." ~rel_dir ~lib_name ~ml ~mli:[])
+  match
+    Lint_driver.load_dir ~root:"." ~rel_dir ~lib_name ~solver:true ~ml ~mli:[]
+  with
+  | Ok srcs -> srcs
+  | Error msg -> Alcotest.fail msg
 
 let impls srcs =
   List.map

@@ -1,7 +1,7 @@
-(* The regression-locked false negative of the Parsetree R1: a local
-   `step` ticks, the open then shadows it with the non-ticking
-   cross-module one. Name-based crediting passes the loop; the typed
-   pass resolves the mention to Tf_cross_helper.step and flags it. *)
+(* A local `step` ticks, the open then shadows it with the
+   non-ticking cross-module one. Name-based crediting would pass the
+   loop; the typed pass resolves the mention to Tf_cross_helper.step
+   and flags it. *)
 
 let step n =
   Budget.tick ();

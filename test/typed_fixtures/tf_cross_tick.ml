@@ -1,6 +1,6 @@
-(* The Parsetree R1's false positive, fixed by the typed pass: the
-   only tick is behind a cross-module (Ldot) call, which name-based
-   crediting cannot see but the call graph can. *)
+(* Clean under R1': the only tick is behind a cross-module (Ldot)
+   call, which name-based crediting cannot see but the call graph
+   can. *)
 
 let drain n =
   let x = ref n in

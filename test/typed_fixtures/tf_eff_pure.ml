@@ -1,5 +1,5 @@
 (* Effects fixture, lattice bottom: no ambient state anywhere — every
-   export must infer Pure and certify shard-safe. *)
+   export must infer Pure. *)
 
 let add x y = x + y
 

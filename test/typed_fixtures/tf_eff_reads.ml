@@ -1,6 +1,6 @@
 (* Effects fixture: ReadsCache of a Runtime_state-registered cache.
    [lookup] writes the cache but the write is registered, so it stays
-   at reads-cache level and remains shard-safe; [peek] only reads. *)
+   at reads-cache level and is not an R9 finding; [peek] only reads. *)
 
 let cache : (int, int) Hashtbl.t = Hashtbl.create 8
 

@@ -1,6 +1,6 @@
-(* Mutual recursion: neither function mentions itself, so the
-   Parsetree R1 (self-mention only) is blind to the cycle; the SCC
-   condensation is not. *)
+(* Mutual recursion: neither function mentions itself, so a
+   self-mention check is blind to the cycle; the SCC condensation is
+   not. *)
 
 let rec ping n = if n = 0 then 0 else pong (n - 1)
 and pong n = ping (n / 2)
