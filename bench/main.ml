@@ -551,7 +551,7 @@ let bench_eval_engines () =
         match Cq_decomp.decomposition qq ~k:2 with
         | Some forest ->
             Bench_util.time_ns ~name:"ghw" (fun () ->
-                ignore (Ghw_eval.eval_with_decomp qq db forest))
+                ignore (Ghw_eval.eval_with_decomp (Atom_rels.create db) qq forest))
         | None -> Float.nan
       in
       Bench_util.row

@@ -15,16 +15,23 @@
     feature queries over the relations of [db], up to isomorphism. *)
 val all_features : m:int -> ?p:int -> Db.t -> Statistic.t
 
+(** [pruned_columns ~m ?p db] is the first feature of {!all_features}
+    for each distinct indicator column over [Db.entities db], with that
+    column: one {!Eval_engine.columns} pass over the enumerated list's
+    memoized batch ({!Cq_enum.feature_batch}). *)
+val pruned_columns : m:int -> ?p:int -> Db.t -> (Cq.t * Eval_engine.column) list
+
 (** [pruned_features ~m ?p t] drops features whose indicator column
     over the training entities duplicates an earlier one — an
-    equivalence-preserving (for separability of [t]) reduction. *)
+    equivalence-preserving (for separability of [t]) reduction: the
+    features of {!pruned_columns}. *)
 val pruned_features : m:int -> ?p:int -> Labeling.training -> Statistic.t
 
 (** [separable ~m ?p t] decides CQ[m]-Sep (CQ[m,p]-Sep with [p]). *)
 val separable : m:int -> ?p:int -> Labeling.training -> bool
 
 (** [generate ~m ?p t] returns a separating pair [(Π, Λ)] built from
-    the pruned full statistic. *)
+    the pruned full statistic, its examples read off the kept columns. *)
 val generate :
   m:int -> ?p:int -> Labeling.training -> (Statistic.t * Linsep.classifier) option
 

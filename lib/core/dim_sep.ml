@@ -27,18 +27,14 @@ let realizable_sets lang (t : Labeling.training) =
          Cor 8.5); use Fo_sep or Pebble_game"
         (Language.to_string lang)
   | Cq_atoms { m; p } ->
-      let features = Atoms_sep.all_features ~m ?p t.db in
-      let seen = Hashtbl.create 64 in
       List.filter_map
-        (fun q ->
-          let s = Elem.Set.of_list (Cq.eval q t.db) in
-          let key = Elem.Set.elements s in
-          if Elem.Set.is_empty s || Hashtbl.mem seen key then None
-          else begin
-            Hashtbl.add seen key ();
-            Some s
-          end)
-        features
+        (fun (_, c) ->
+          if Eval_engine.Column.is_empty c then None
+          else
+            Some
+              (Elem.Set.of_list
+                 (List.filteri (fun i _ -> Eval_engine.Column.mem c i) entities)))
+        (Atoms_sep.pruned_columns ~m ?p t.db)
   | Cq_all | Ghw _ ->
       let decide pos neg =
         let inst = Qbe.make t.db ~pos ~neg in

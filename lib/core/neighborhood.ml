@@ -20,34 +20,8 @@
 
 let what = "neighborhood: ball walk"
 
-(* Atom connectivity over shared variables, anchored at the free
-   variable. [Cq.atoms] excludes the mandatory [eta(free)] atom, so an
-   atomless query is trivially connected (and 0-local). *)
-let connected q =
-  let atoms = Array.of_list (Cq.atoms q) in
-  let n = Array.length atoms in
-  if n = 0 then true
-  else begin
-    let reached_atoms = Array.make n false in
-    let reached_vars = ref (Elem.Set.singleton (Cq.free q)) in
-    let progress = ref true in
-    while !progress do
-      Budget.tick ~what:"neighborhood: connectivity" ();
-      progress := false;
-      Array.iteri
-        (fun i atom ->
-          if not reached_atoms.(i) then begin
-            let vars = Fact.elems atom in
-            if not (Elem.Set.disjoint vars !reached_vars) then begin
-              reached_atoms.(i) <- true;
-              reached_vars := Elem.Set.union vars !reached_vars;
-              progress := true
-            end
-          end)
-        atoms
-    done;
-    Array.for_all Fun.id reached_atoms
-  end
+(* An atomless query is trivially connected (and 0-local). *)
+let connected q = snd (Eval_engine.components q) = []
 
 let model_radius (stat : Statistic.t) =
   if List.for_all connected stat then

@@ -2,39 +2,30 @@ type t = Cq.t list
 
 let dimension = List.length
 
-(* [membership db q] decides [e ∈ q(db)]. A structured plan evaluates
-   [q] once over [db] and answers every entity from that set; a
-   hom-search plan answers by pointed search per asked entity, which
-   for a small batch costs far less than searching from every entity
-   of [db]. *)
-let membership db q =
-  match Eval_engine.plan q with
-  | Eval_engine.Hom_search -> Cq.selects q db
-  | p ->
-      let selected = Elem.Set.of_list (Eval_engine.eval_with_plan q p db) in
-      fun e -> Elem.Set.mem e selected
+let vectors_of_columns cols es =
+  List.mapi
+    (fun i e ->
+      (e, Array.map (fun c -> if Eval_engine.Column.mem c i then 1 else -1) cols))
+    es
 
-(* Feature-major: each feature is planned and evaluated once for the
-   whole list, not once per entity. *)
 let vectors_for stat db es =
   match es with
   | [] -> []
   | _ ->
-      let tests = List.map (membership db) stat in
-      List.map
-        (fun e ->
-          ( e,
-            Array.of_list
-              (List.map (fun selects -> if selects e then 1 else -1) tests) ))
+      vectors_of_columns
+        (Eval_engine.columns (Eval_engine.batch stat) db (Array.of_list es))
         es
 
 let vectors stat db = vectors_for stat db (Db.entities db)
 let vector stat db e = snd (List.hd (vectors_for stat db [ e ]))
 
-let examples stat (t : Labeling.training) =
-  List.map
-    (fun (e, vec) -> { Linsep.vec; label = Labeling.get e t.labeling })
-    (vectors stat t.db)
+let label_rows (t : Labeling.training) rows =
+  List.map (fun (e, vec) -> { Linsep.vec; label = Labeling.get e t.labeling }) rows
+
+let examples_of_columns cols (t : Labeling.training) =
+  label_rows t (vectors_of_columns cols (Db.entities t.db))
+
+let examples stat (t : Labeling.training) = label_rows t (vectors stat t.db)
 
 (* Routed through the numeric tier: float-first with exact
    certification, escalating to the exact simplex when certification

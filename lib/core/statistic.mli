@@ -12,9 +12,9 @@ val dimension : t -> int
 
 (** [vectors_for stat db es] is [(e, Π^D(e))] for each [e] of [es], in
     order and with repeats kept (entries [+1]/[-1]; an [e] outside
-    [η(D)] gets all [-1]). Each feature is planned and evaluated once
-    per call, except that hom-search features run a pointed search per
-    element of [es]. *)
+    [η(D)] gets all [-1]), in one pass: one {!Eval_engine.columns} call
+    on the batch of [stat], where hom-search x-components run a pointed
+    search per distinct element of [es]. *)
 val vectors_for : t -> Db.t -> Elem.t list -> (Elem.t * int array) list
 
 (** [vector stat db e] is [Π^D(e)]: [vectors_for] on [[e]]. *)
@@ -25,8 +25,13 @@ val vector : t -> Db.t -> Elem.t -> int array
 val vectors : t -> Db.t -> (Elem.t * int array) list
 
 (** [examples stat t] is the training collection
-    [(Π^D(e), λ(e))_{e ∈ η(D)}]. *)
+    [(Π^D(e), λ(e))_{e ∈ η(D)}], in one pass as {!vectors_for}. *)
 val examples : t -> Labeling.training -> Linsep.example list
+
+(** [examples_of_columns cols t] is {!examples} read off the columns
+    [cols] of a statistic over [Db.entities t.db], with no evaluation. *)
+val examples_of_columns :
+  Eval_engine.column array -> Labeling.training -> Linsep.example list
 
 (** [separating_classifier stat t] finds a linear classifier [Λ] such
     that [(stat, Λ)] separates [t], if any (LP-based). *)

@@ -82,12 +82,17 @@ let enumerate ?max_var_occ ~schema ~max_atoms () =
   List.rev !out
 
 (* Prop 4.1: the list depends only on the schema and the bounds, so it
-   is enumerated once per (normalized schema, m, p). An entry is
-   inserted only after its enumeration completes — a budget abort never
-   leaves a partial list behind — and the table is cleared when full. *)
+   is enumerated once per (normalized schema, m, p), and compiled into
+   an evaluation batch on first request. Each value is inserted only
+   after it is complete — a budget abort never leaves a partial list or
+   a half-compiled batch behind (an aborted compile leaves the entry
+   holding the list alone) — and the table is cleared when full. *)
 let memo_capacity = 16
 
-let memo : ((string * int) list * int * int option, Cq.t list) Hashtbl.t =
+let memo :
+    ( (string * int) list * int * int option,
+      Cq.t list * Eval_engine.batch option )
+    Hashtbl.t =
   Hashtbl.create memo_capacity
 
 let () =
@@ -95,15 +100,26 @@ let () =
     ~validate:(fun () -> Hashtbl.length memo <= memo_capacity)
     (fun () -> Hashtbl.reset memo)
 
-let feature_queries ?max_var_occ ~schema ~max_atoms () =
+let memo_entry ?max_var_occ ~schema ~max_atoms () =
   let key = (normalize_schema schema, max_atoms, max_var_occ) in
   match Hashtbl.find_opt memo key with
-  | Some qs -> qs
+  | Some entry -> (key, entry)
   | None ->
       let qs = enumerate ?max_var_occ ~schema ~max_atoms () in
       if Hashtbl.length memo >= memo_capacity then Hashtbl.reset memo;
-      Hashtbl.replace memo key qs;
-      qs
+      Hashtbl.replace memo key (qs, None);
+      (key, (qs, None))
+
+let feature_queries ?max_var_occ ~schema ~max_atoms () =
+  fst (snd (memo_entry ?max_var_occ ~schema ~max_atoms ()))
+
+let feature_batch ?max_var_occ ~schema ~max_atoms () =
+  match memo_entry ?max_var_occ ~schema ~max_atoms () with
+  | _, (qs, Some b) -> (qs, b)
+  | key, (qs, None) ->
+      let b = Eval_engine.batch qs in
+      Hashtbl.replace memo key (qs, Some b);
+      (qs, b)
 
 let count ?max_var_occ ~schema ~max_atoms () =
   List.length (feature_queries ?max_var_occ ~schema ~max_atoms ())

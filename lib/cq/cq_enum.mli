@@ -31,6 +31,17 @@
 val feature_queries :
   ?max_var_occ:int -> schema:(string * int) list -> max_atoms:int -> unit -> Cq.t list
 
+(** [feature_batch ?max_var_occ ~schema ~max_atoms ()] is
+    [feature_queries ...] with its compiled {!Eval_engine.batch}. The
+    batch is memoized in the same ["cq_enum.memo"] entry as the list,
+    so it is compiled once per schema and bounds; it is stored only
+    once its compile completes, so a compile aborted by its budget
+    leaves the entry holding the list alone and the next call compiles
+    again. *)
+val feature_batch :
+  ?max_var_occ:int -> schema:(string * int) list -> max_atoms:int -> unit ->
+  Cq.t list * Eval_engine.batch
+
 (** [count ?max_var_occ ~schema ~max_atoms ()] is
     [List.length (feature_queries ...)] (and so memoizes the list). *)
 val count :

@@ -376,6 +376,50 @@ let test_memo_abort_leaves_no_entry () =
   Alcotest.(check int) "full list after the abort" 1281
     (List.length (Cq_enum.feature_queries ~schema ~max_atoms:3 ()))
 
+let test_memo_batch_reset () =
+  Runtime_state.reset_caches ();
+  let qs, b = Cq_enum.feature_batch ~schema:memo_schema ~max_atoms:2 () in
+  Alcotest.(check bool) "the batch's list is the memoized list" true
+    (qs == Cq_enum.feature_queries ~schema:memo_schema ~max_atoms:2 ());
+  Alcotest.(check bool) "second call shares the batch" true
+    (b == snd (Cq_enum.feature_batch ~schema:memo_schema ~max_atoms:2 ()));
+  Runtime_state.reset_caches ();
+  let qs', b' = Cq_enum.feature_batch ~schema:memo_schema ~max_atoms:2 () in
+  Alcotest.(check bool) "reset drops the batch" true (b != b' && qs != qs')
+
+(* The batch of CQ[3] over {E/2, R/1} on a small graph, against a
+   pointed search per feature and entity. *)
+let batch_is_complete qs b =
+  let db = path_db 4 in
+  let es = Array.of_list (Db.entities db) in
+  let cols = Eval_engine.columns b db es in
+  Array.length cols = List.length qs
+  && List.for_all2
+       (fun q col ->
+         Array.for_all Fun.id
+           (Array.mapi
+              (fun i e -> Eval_engine.Column.mem col i = Cq.selects q db e)
+              es))
+       qs (Array.to_list cols)
+
+let test_memo_batch_abort () =
+  Runtime_state.reset_caches ();
+  let schema = [ ("E", 2); ("R", 1) ] in
+  let qs = Cq_enum.feature_queries ~schema ~max_atoms:3 () in
+  (match
+     Guard.run (Budget.make ~fuel:50 ()) (fun () ->
+         Cq_enum.feature_batch ~schema ~max_atoms:3 ())
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "50 ticks cannot compile 324 features");
+  Alcotest.(check (list string)) "registry valid" [] (Runtime_state.validate_all ());
+  let qs', b = Cq_enum.feature_batch ~schema ~max_atoms:3 () in
+  Alcotest.(check bool) "the list outlives the aborted compile" true (qs == qs');
+  Alcotest.(check bool) "the next call compiles the whole batch" true
+    (batch_is_complete qs b);
+  Alcotest.(check bool) "and memoizes it" true
+    (b == snd (Cq_enum.feature_batch ~schema ~max_atoms:3 ()))
+
 let test_memo_schema_normalized () =
   let base = Cq_enum.feature_queries ~schema:memo_schema ~max_atoms:2 () in
   Alcotest.(check bool) "reordered schema hits" true
@@ -564,6 +608,9 @@ let () =
           Alcotest.test_case "abort leaves no entry" `Quick
             test_memo_abort_leaves_no_entry;
           Alcotest.test_case "schema normalized" `Quick test_memo_schema_normalized;
+          Alcotest.test_case "batch dropped by reset" `Quick test_memo_batch_reset;
+          Alcotest.test_case "aborted compile leaves no batch" `Quick
+            test_memo_batch_abort;
         ] );
       ( "decomposition",
         [

@@ -525,6 +525,162 @@ let prop_vectors_for_matches_reference =
            (fun e -> Statistic.vector stat db e = reference_vector stat db e)
            es)
 
+(* --- batched columns ------------------------------------------------------ *)
+
+let batch_schema = [ ("E", 2); ("U", 1) ]
+
+(* [columns] against the planner-free oracle, a pointed hom search per
+   feature and element of [es], and against each feature evaluated
+   whole through its own plan. *)
+let columns_match features db es =
+  let cols =
+    Eval_engine.columns (Eval_engine.batch features) db (Array.of_list es)
+  in
+  Array.length cols = List.length features
+  && List.for_all2
+       (fun q col ->
+         let whole =
+           Elem.Set.of_list (Eval_engine.eval_with_plan q (Eval_engine.plan q) db)
+         in
+         List.for_all
+           (fun (i, e) ->
+             let set = Eval_engine.Column.mem col i in
+             set = Cq.selects q db e && set = Elem.Set.mem e whole)
+           (List.mapi (fun i e -> (i, e)) es))
+       features (Array.to_list cols)
+
+(* Sparse for some seeds, so that loops, triangles and even a whole
+   relation can be missing and Boolean components fail. *)
+let random_batch_training ~seed ~size =
+  Gen_db.random_training ~seed ~schema:batch_schema ~domain_size:size
+    ~facts_per_rel:(1 + (seed mod (2 * size))) ~entities:(size - 1) ()
+
+let prop_batch_columns_match_reference =
+  QCheck.Test.make ~name:"batch columns = per-feature evaluation" ~count:24
+    QCheck.(
+      quad (int_range 0 10_000) (int_range 1 3) bool
+        (list_of_size (Gen.int_range 0 5) (int_range 0 9)))
+    (fun (seed, m, bounded, asked) ->
+      let t = random_batch_training ~seed ~size:7 in
+      let db = t.Labeling.db in
+      let features =
+        Cq_enum.feature_queries
+          ?max_var_occ:(if bounded then Some 2 else None)
+          ~schema:batch_schema ~max_atoms:m ()
+      in
+      let domain = Array.of_list (Elem.Set.elements (Db.domain db)) in
+      (* repeats, and elements outside eta: in the domain or absent *)
+      let es =
+        List.map (fun i -> domain.(i mod Array.length domain)) asked
+        @ (Elem.sym "absent" :: Elem.Set.elements (Db.domain db))
+      in
+      columns_match features db es)
+
+(* More than 62 entities: the columns span several words. *)
+let test_batch_columns_many_entities () =
+  let t = random_batch_training ~seed:11 ~size:70 in
+  let db = t.Labeling.db in
+  let es = Db.entities db in
+  check bool_c "more than one word of entities" true (List.length es > 62);
+  List.iter
+    (fun (m, p) ->
+      check bool_c
+        (Printf.sprintf "CQ[%d%s] columns" m
+           (match p with Some p -> Printf.sprintf ",%d" p | None -> ""))
+        true
+        (columns_match
+           (Cq_enum.feature_queries ?max_var_occ:p ~schema:batch_schema
+              ~max_atoms:m ())
+           db es))
+    [ (1, None); (2, None); (2, Some 2); (3, Some 2) ]
+
+(* A Boolean component gates the whole column: a loop or a detached
+   triangle that the database lacks empties it; adding one restores
+   the x-column. The detached triangle plans to the decomposition
+   engine, the detached 5-clique to hom search. *)
+let test_batch_boolean_components () =
+  let base =
+    Textfmt.training_of_document
+      (Textfmt.parse_string
+         "U(a)\nU(b)\nE(a,b)\nE(b,c)\nE(c,d)\n+a\n-b\n-c\n+d\n")
+  in
+  let db = base.Labeling.db in
+  let looped = Db.add (Fact.make_l "E" [ sym "d"; sym "d" ]) db in
+  let triangle =
+    List.fold_left
+      (fun db (u, v) -> Db.add (Fact.make_l "E" [ sym u; sym v ]) db)
+      db
+      [ ("p", "q"); ("q", "r"); ("r", "p") ]
+  in
+  let features =
+    List.map Cq_parse.parse
+      [
+        "x :- U(x), E(y,y)";
+        "x :- U(x), E(a,b), E(b,c), E(c,a)";
+        "x :- E(x,y), E(z,z), U(w)";
+        "x :- U(y)";
+        "x :- U(x)";
+        "x :- U(x), E(a,b), E(a,c), E(a,d), E(a,f), E(b,c), E(b,d), E(b,f), \
+         E(c,d), E(c,f), E(d,f)";
+      ]
+  in
+  let es = sym "zz" :: Elem.Set.elements (Db.domain triangle) in
+  let column_of db q =
+    (Eval_engine.columns (Eval_engine.batch [ q ]) db (Array.of_list es)).(0)
+  in
+  check bool_c "no loop: empty" true
+    (Eval_engine.Column.is_empty (column_of db (List.hd features)));
+  check bool_c "loop: nonempty" false
+    (Eval_engine.Column.is_empty (column_of looped (List.hd features)));
+  check bool_c "no triangle: empty" true
+    (Eval_engine.Column.is_empty (column_of db (List.nth features 1)));
+  List.iter
+    (fun db -> check bool_c "batch = reference" true (columns_match features db es))
+    [ db; looped; triangle ]
+
+(* Prune by hand: the first feature of each distinct column, columns by
+   pointed search. *)
+let reference_pruned features db =
+  let entities = Db.entities db in
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun q ->
+      let column = List.map (fun e -> Cq.selects q db e) entities in
+      if Hashtbl.mem seen column then false
+      else begin
+        Hashtbl.add seen column ();
+        true
+      end)
+    features
+
+let prop_pruned_features_match_reference =
+  QCheck.Test.make ~name:"pruned_features = reference dedupe" ~count:12
+    QCheck.(pair (int_range 0 10_000) (int_range 1 3))
+    (fun (seed, m) ->
+      let t = random_batch_training ~seed ~size:6 in
+      let features = Atoms_sep.all_features ~m t.Labeling.db in
+      List.equal Cq.equal
+        (Atoms_sep.pruned_features ~m t)
+        (reference_pruned features t.Labeling.db))
+
+let prop_realizable_sets_match_reference =
+  QCheck.Test.make ~name:"CQ[m] realizable sets = per-entity reference" ~count:12
+    QCheck.(triple (int_range 0 10_000) (int_range 1 3) bool)
+    (fun (seed, m, bounded) ->
+      let p = if bounded then Some 2 else None in
+      let t = random_batch_training ~seed ~size:6 in
+      let db = t.Labeling.db in
+      let reference =
+        List.filter_map
+          (fun s -> if Elem.Set.is_empty s then None else Some s)
+          (List.map
+             (fun q -> Elem.Set.of_list (List.filter (Cq.selects q db) (Db.entities db)))
+             (reference_pruned (Atoms_sep.all_features ~m ?p db) db))
+      in
+      let sets = Dim_sep.realizable_sets (Language.Cq_atoms { m; p }) t in
+      List.length sets = List.length reference
+      && List.for_all2 Elem.Set.equal sets reference)
+
 (* Prop 6.9: the Vertex-Cover reduction — minimal dimension of the
    reduced instance equals the minimum vertex cover. *)
 let test_vc_reduction_triangle () =
@@ -744,6 +900,16 @@ let () =
         [
           Alcotest.test_case "utilities" `Quick test_statistic_utilities;
           qcheck prop_vectors_for_matches_reference;
+        ] );
+      ( "batch columns",
+        [
+          qcheck prop_batch_columns_match_reference;
+          Alcotest.test_case "more than 62 entities" `Quick
+            test_batch_columns_many_entities;
+          Alcotest.test_case "Boolean components" `Quick
+            test_batch_boolean_components;
+          qcheck prop_pruned_features_match_reference;
+          qcheck prop_realizable_sets_match_reference;
         ] );
       ( "model io",
         [
