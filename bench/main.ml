@@ -1320,6 +1320,77 @@ let bench_linsep_numeric () =
   put "numeric_ns_total" !numeric_total;
   put "speedup" speedup
 
+(* ApxSep (Section 7) at a fixed size near cqm_train's refuted
+   trainings: 20 planted-separable examples in 35 dimensions, each
+   twice (cqm_train doubles its databases), with the first copy of k
+   pairs flipped, so the consistency lower bound is k. The reference
+   DFS decides every leaf with the exact rational simplex; the library
+   decides it on the certified tier. Not gated; the leaf and escalation
+   counts are [Nsep.stats] deltas taken outside the timing loops
+   (time_ns resets the registry inside the timed thunk). *)
+let bench_linsep_min_errors () =
+  Bench_util.header
+    "linsep/min_errors — ApxSep search, leaves on the certified tier vs \
+     the exact-simplex reference (40 examples x 35 dimensions)";
+  let base = Planted.linsep_instance ~seed:0 ~dim:35 ~n:20 in
+  let instance flips =
+    List.concat
+      (List.mapi
+         (fun i (ex : Linsep.example) ->
+           let first =
+             if i mod 4 = 0 && i / 4 < flips then
+               { ex with label = Labeling.flip ex.label }
+             else ex
+           in
+           [ first; ex ])
+         base)
+  in
+  Bench_util.row
+    [
+      (8, "flips");
+      (12, "reference");
+      (12, "certified");
+      (8, "leaves");
+      (12, "escalations");
+      (10, "optimum");
+    ];
+  Bench_util.rule ();
+  List.iter
+    (fun flips ->
+      let ex = instance flips in
+      Runtime_state.reset_all ();
+      let reference = Linsep_ref.min_errors_exact ~cap:8 ex in
+      let before = Nsep.stats () in
+      let result = Linsep.min_errors_exact ~cap:8 ex in
+      let after = Nsep.stats () in
+      let optimum =
+        match (reference, result) with
+        | Some (r, _), Some (e, _) when r = e -> Printf.sprintf "%d =" e
+        | None, None -> "none ="
+        | _ -> "DIFFER"
+      in
+      let t_ref =
+        Bench_util.time_ns ~name:"reference" (fun () ->
+            ignore
+              (Sys.opaque_identity (Linsep_ref.min_errors_exact ~cap:8 ex)))
+      in
+      let t_new =
+        Bench_util.time_ns ~name:"certified" (fun () ->
+            ignore (Sys.opaque_identity (Linsep.min_errors_exact ~cap:8 ex)))
+      in
+      let ms ns = Printf.sprintf "%.2f ms" (ns /. 1e6) in
+      let delta f = string_of_int (f after - f before) in
+      Bench_util.row
+        [
+          (8, string_of_int flips);
+          (12, ms t_ref);
+          (12, ms t_new);
+          (8, delta (fun s -> s.Nsep.decided));
+          (12, delta (fun s -> s.Nsep.escalations));
+          (10, optimum);
+        ])
+    [ 0; 1; 2; 3; 4 ]
+
 let experiments =
   [
     ("table1/cq_sep", bench_table1_cq_sep);
@@ -1349,6 +1420,7 @@ let experiments =
     ("service/classify_serving", bench_serving);
     ("analysis/lint_typed", bench_lint_typed);
     ("linsep/numeric_vs_exact", bench_linsep_numeric);
+    ("linsep/min_errors", bench_linsep_min_errors);
   ]
 
 let () =

@@ -384,12 +384,20 @@ let build impls =
   in
   let g_nodes = Array.make n dummy in
   List.iter (fun node -> g_nodes.(node.id) <- node) b.b_nodes;
+  (* A mention of a module walked later was recorded against an
+     External node; with every module walked, point it at the
+     definition, so cross-module edges do not depend on load order. *)
+  let target d =
+    if g_nodes.(d).kind <> External then d
+    else
+      Option.value ~default:d (Hashtbl.find_opt b.b_global g_nodes.(d).name)
+  in
   let g_succs = Array.make n [] in
   Hashtbl.iter
     (fun src tbl ->
       g_succs.(src) <-
-        List.sort Int.compare
-          (Hashtbl.fold (fun d () acc -> d :: acc) tbl []))
+        List.sort_uniq Int.compare
+          (Hashtbl.fold (fun d () acc -> target d :: acc) tbl []))
     b.b_edges;
   let scc_of, nscc, cyclic_ids = sccs ~n ~succs:(fun v -> g_succs.(v)) in
   let g_scc_cyclic = Array.make (max nscc 1) false in
@@ -406,7 +414,10 @@ let build impls =
   {
     g_nodes;
     g_succs;
-    g_mentions = b.b_mentions;
+    g_mentions =
+      List.filter
+        (fun (_, g, _, _) -> not (Hashtbl.mem b.b_global g))
+        b.b_mentions;
     g_by_global = b.b_global;
     g_by_local = b.b_local;
     g_at;

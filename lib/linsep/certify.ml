@@ -71,10 +71,10 @@ let hyperplane ~weights examples =
       List.iter
         (fun ex ->
           Budget.tick ~what:"certify: example margin" ();
-          if Array.length ex.Linsep.vec <> n then
+          if Array.length ex.Halfspace.vec <> n then
             invalid_arg "Certify.hyperplane: dimension mismatch";
-          let m = margin ex.Linsep.vec in
-          match ex.Linsep.label with
+          let m = margin ex.Halfspace.vec in
+          match ex.Halfspace.label with
           | Labeling.Pos ->
               min_pos :=
                 Some
@@ -84,7 +84,9 @@ let hyperplane ~weights examples =
                 Some
                   (match !max_neg with None -> m | Some q -> Bigint.max q m))
         examples;
-      let certified threshold = Certified { Linsep.weights = w; threshold } in
+      let certified threshold =
+        Certified { Halfspace.weights = w; threshold }
+      in
       match (!min_pos, !max_neg) with
       | None, None -> certified Rat.zero
       | Some p, None -> certified (Rat.make p d) (* p >= p: all positives pass *)
@@ -162,9 +164,10 @@ let subsystem_infeasible ~n support examples =
            let ex = examples.(i) in
            let coeffs =
              Array.init nvars (fun d ->
-                 if d < n then Rat.of_int ex.Linsep.vec.(d) else Rat.minus_one)
+                 if d < n then Rat.of_int ex.Halfspace.vec.(d)
+                 else Rat.minus_one)
            in
-           match ex.Linsep.label with
+           match ex.Halfspace.label with
            | Labeling.Pos -> { Simplex.coeffs; op = Simplex.Ge; rhs = Rat.zero }
            | Labeling.Neg ->
                { Simplex.coeffs; op = Simplex.Le; rhs = Rat.minus_one })
@@ -181,10 +184,10 @@ let farkas ~mu examples =
     invalid_arg "Certify.farkas: one multiplier per example required";
   if m = 0 then Inconclusive "empty system cannot be infeasible"
   else begin
-    let n = Array.length examples.(0).Linsep.vec in
+    let n = Array.length examples.(0).Halfspace.vec in
     Array.iter
       (fun ex ->
-        if Array.length ex.Linsep.vec <> n then
+        if Array.length ex.Halfspace.vec <> n then
           invalid_arg "Certify.farkas: dimension mismatch")
       examples;
     let nvars = n + 1 in
@@ -211,7 +214,8 @@ let farkas ~mu examples =
             Array.init k (fun j ->
                 Budget.tick ~what:"certify: matrix build" ();
                 let ex = examples.(support.(j)) in
-                if d < n then Rat.of_int ex.Linsep.vec.(d) else Rat.minus_one))
+                if d < n then Rat.of_int ex.Halfspace.vec.(d)
+                else Rat.minus_one))
       in
       let pivots = rref mat nvars k in
       let rank = List.length pivots in
@@ -241,7 +245,7 @@ let farkas ~mu examples =
         let lam_b = ref Rat.zero in
         for j = 0 to k - 1 do
           Budget.tick ~what:"certify: rhs combination" ();
-          match examples.(support.(j)).Linsep.label with
+          match examples.(support.(j)).Halfspace.label with
           | Labeling.Pos -> ()
           | Labeling.Neg ->
               lam_b := Rat.add !lam_b (Rat.neg lambda.(j))
@@ -258,7 +262,7 @@ let farkas ~mu examples =
           for j = 0 to k - 1 do
             Budget.tick ~what:"certify: sign check" ();
             let s = Rat.sign lambda.(j) in
-            match examples.(support.(j)).Linsep.label with
+            match examples.(support.(j)).Halfspace.label with
             | Labeling.Pos -> if s < 0 then ok := false
             | Labeling.Neg -> if s > 0 then ok := false
           done;

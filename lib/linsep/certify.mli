@@ -32,8 +32,8 @@ val verdict_label : 'a verdict -> string
     @raise Invalid_argument on an example/weights dimension mismatch. *)
 val hyperplane :
   weights:float array ->
-  Linsep.example list ->
-  Linsep.classifier verdict
+  Halfspace.example list ->
+  Halfspace.classifier verdict
 
 (** [farkas ~mu examples] certifies an infeasibility claim for the
     separation system (positive rows [(b̄,-1)·x ≥ 0], negative rows
@@ -48,4 +48,4 @@ val hyperplane :
     [Refuted] (sign violation), never a wrong proof.
     @raise Invalid_argument when [mu] and [examples] disagree in
     length, or on a dimension mismatch. *)
-val farkas : mu:float array -> Linsep.example list -> unit verdict
+val farkas : mu:float array -> Halfspace.example list -> unit verdict

@@ -1,73 +1,14 @@
-(** Linear separability of ±1 training collections (Section 2).
+(** Linear separability of ±1 training collections (Section 2) and the
+    approximate-separability objective of Section 7.
 
-    A training collection is a list of examples [(b̄, y)] with
-    [b̄ ∈ {1,-1}^n] and [y ∈ {1,-1}]. It is linearly separable when some
-    weights [w̄ = (w_0, w_1, ..., w_n)] satisfy
-    [Λ_w̄(b̄) = (if Σ w_i·b_i ≥ w_0 then 1 else -1) = y] for every
-    example. Deciding this is in PTIME via linear programming (the
-    paper cites Khachiyan/Karmarkar); here an exact simplex plays that
-    role. *)
+    Everything of {!Halfspace} — examples, classifiers, the exact
+    [separable] test, the consistency helpers and the chain classifier
+    — under its usual name, plus the ApxSep search, which sits above
+    the certified tier ({!Nsep}). *)
 
-type example = { vec : int array;  (** entries in {1, -1} *) label : Labeling.label }
-
-type classifier = { weights : Rat.t array; threshold : Rat.t }
-(** [Λ(b̄) = 1 iff Σ weights.(i)·b̄.(i) ≥ threshold]. *)
-
-(** [classify c vec] applies the linear classifier. It is staged:
-    [classify c] puts the weights and threshold over one common
-    denominator ({!Rat.common_denominator}), after which each vector
-    costs only integer adds and one compare. Apply [classify c] once
-    and reuse the closure for every vector of a batch.
-    @raise Invalid_argument ["Linsep.classify: dimension mismatch"]
-    when [vec] and the weights differ in length. *)
-val classify : classifier -> int array -> Labeling.label
-
-(** [errors c examples] counts misclassified examples. *)
-val errors : classifier -> example list -> int
-
-(** [separable examples] returns a separating classifier if one exists.
-    Strict separation of the negatives is encoded with a unit margin
-    (scale-invariant, hence without loss of generality). The empty
-    collection is separable. *)
-val separable : example list -> classifier option
-
-(** [is_separable examples] is [separable examples <> None]. *)
-val is_separable : example list -> bool
-
-(** [group_by_vector examples] groups the collection by identical
-    vectors, in first-seen order: one [(pos, neg, vec)] triple per
-    distinct vector with its positive and negative multiplicities.
-    Deterministic in the input order alone (no Hashtbl iteration
-    order leaks). This is the reduction step shared by the
-    consistency precheck and the numeric tier ({!Nsep}). *)
-val group_by_vector : example list -> (int * int * int array) list
-
-(** [separable_iff_consistent examples] is the cheap necessary
-    condition: no two examples with identical vectors and different
-    labels. (Not sufficient in general — see Example 6.2-style gaps —
-    but it is the first thing every decision procedure checks.) *)
-val separable_iff_consistent : example list -> bool
-
-(** [perceptron ?max_epochs examples] runs the classic perceptron with
-    integer weights; converges to a separator whenever the collection
-    is separable and [max_epochs] is large enough (heuristic
-    otherwise). Returns the classifier and whether it fully separates. *)
-val perceptron : ?max_epochs:int -> example list -> classifier * bool
-
-(** [chain_classifier ~labels ~below] builds the explicit classifier of
-    the Kimelfeld–Ré construction used by Lemma 5.4 / Theorem 5.8:
-    given equivalence classes [E_1 ≼ ... ≼ E_m] in topological order
-    (so [below j i] — meaning [E_j ≼ E_i] — implies [j ≤ i]) and the
-    class labels, the weights [w_j = label(E_j)·3^{j+1}] with threshold
-    [-Σ w_j] classify the vector of any entity of class [E_i]
-    (which has [+1] exactly at [{j | below j i}]) as [labels.(i)].
-    Exact bignum arithmetic, no LP call. *)
-val chain_classifier : labels:Labeling.label array -> below:(int -> int -> bool) -> classifier
-
-(** [chain_vector ~below ~m i] is the ±1 vector of class [E_i] under
-    the statistic [(q_{e_1}, ..., q_{e_m})]: [+1] at [j] iff
-    [below j i]. *)
-val chain_vector : below:(int -> int -> bool) -> m:int -> int -> int array
+include module type of struct
+  include Halfspace
+end
 
 (** [min_errors_exact ?cap examples] computes the minimum number of
     misclassified examples over all linear classifiers — the
@@ -76,16 +17,14 @@ val chain_vector : below:(int -> int -> bool) -> m:int -> int -> int array
     discarded examples with a consistency lower bound; [cap] (default
     [List.length examples]) aborts the search above that many errors
     and returns [None]. Returns the optimum and a witnessing
-    classifier. *)
+    classifier.
+
+    Each leaf of the search (one side chosen for every group of
+    identical vectors) is decided by {!Nsep.separable}: the ambient
+    tier with escalation on, so every leaf verdict carries an exact
+    proof (a {!Certify} hyperplane, Farkas multipliers or the exact
+    simplex) and counts in ["nsep.stats"]. The optimum and the [cap]
+    semantics do not depend on the tier; the witnessing classifier
+    does. Under [Exact_only] it is the exact simplex's vertex, under
+    [Numeric] usually the certified CG fit. *)
 val min_errors_exact : ?cap:int -> example list -> (int * classifier) option
-
-(** [min_errors_greedy ?max_epochs examples] is the pocket-perceptron
-    heuristic: best classifier seen during perceptron epochs. Returns
-    its error count and the classifier (an upper bound on the
-    optimum). *)
-val min_errors_greedy : ?max_epochs:int -> example list -> int * classifier
-
-(** [consistency_lower_bound examples] is [Σ_g min(pos_g, neg_g)] over
-    groups of identical vectors — a lower bound on the minimum error of
-    {e any} classifier. *)
-val consistency_lower_bound : example list -> int

@@ -4,11 +4,11 @@
 
      precheck (exact, cheap)
        └─ consistency + trivial shapes, answered with exact proofs
-     CG logistic fit (float)            ── candidate hyperplane
+     CG logistic fit (float)               ── candidate hyperplane
        └─ float margin screen ─ Certify.hyperplane (exact)
-     float simplex (float)              ── candidate point / Farkas rows
+     float simplex (float)                 ── candidate point / Farkas rows
        └─ conditioning + margin guards ─ Certify.hyperplane / .farkas
-     exact simplex (Linsep.separable)   ── escalation of last resort
+     exact simplex (Halfspace.separable)   ── escalation of last resort
 
    The invariant the whole module is built around: a [Sep]/[Unsep]
    verdict is returned only with an exact proof in hand — either a
@@ -32,7 +32,7 @@ type provenance =
   | Uncertified of string  (* numeric failed and escalation was off *)
 
 type verdict =
-  | Sep of Linsep.classifier
+  | Sep of Halfspace.classifier
   | Unsep
   | Unknown of string  (* only with [~escalate:false] *)
 
@@ -135,7 +135,7 @@ let reduced_examples groups =
     (fun (pos, _neg, vec) ->
       Budget.tick ~what:"nsep: group representative" ();
       {
-        Linsep.vec;
+        Halfspace.vec;
         label = (if pos > 0 then Labeling.Pos else Labeling.Neg);
       })
     groups
@@ -149,14 +149,14 @@ let numeric_attempt ~n groups reduced =
       (List.map
          (fun ex ->
            Budget.tick ~what:"nsep: float row" ();
-           Array.map float_of_int ex.Linsep.vec)
+           Array.map float_of_int ex.Halfspace.vec)
          reduced)
   in
   let ys =
     Array.of_list
       (List.map
          (fun ex ->
-           match ex.Linsep.label with
+           match ex.Halfspace.label with
            | Labeling.Pos -> 1.0
            | Labeling.Neg -> -1.0)
          reduced)
@@ -179,9 +179,9 @@ let numeric_attempt ~n groups reduced =
             Budget.tick ~what:"nsep: lp row" ();
             let coeffs =
               Array.init nvars (fun i ->
-                  if i < n then float_of_int ex.Linsep.vec.(i) else -1.0)
+                  if i < n then float_of_int ex.Halfspace.vec.(i) else -1.0)
             in
-            match ex.Linsep.label with
+            match ex.Halfspace.label with
             | Labeling.Pos -> { Fsimplex.coeffs; op = Simplex.Ge; rhs = 0.0 }
             | Labeling.Neg -> { Fsimplex.coeffs; op = Simplex.Le; rhs = -1.0 })
           reduced
@@ -215,7 +215,7 @@ let numeric_attempt ~n groups reduced =
     end
 
 let exact_solve reason ~escalated reduced =
-  match Linsep.separable reduced with
+  match Halfspace.separable reduced with
   | Some c ->
       bump ~escalated (Exact_solve reason);
       { verdict = Sep c; provenance = Exact_solve reason }
@@ -229,12 +229,12 @@ let decide ?tier ?(escalate = true) examples =
   | [] ->
       bump Certified_precheck;
       {
-        verdict = Sep { Linsep.weights = [||]; threshold = Rat.zero };
+        verdict = Sep { Halfspace.weights = [||]; threshold = Rat.zero };
         provenance = Certified_precheck;
       }
   | ex0 :: _ -> begin
-      let n = Array.length ex0.Linsep.vec in
-      let groups = Linsep.group_by_vector examples in
+      let n = Array.length ex0.Halfspace.vec in
+      let groups = Halfspace.group_by_vector examples in
       if List.exists (fun (pos, neg, _) -> pos > 0 && neg > 0) groups then begin
         (* Two identical vectors with opposite labels: exactly
            inseparable, no solver needed. *)
@@ -252,7 +252,7 @@ let decide ?tier ?(escalate = true) examples =
           bump Certified_precheck;
           let threshold = if all_pos then Rat.zero else Rat.one in
           {
-            verdict = Sep { Linsep.weights = Array.make n Rat.zero; threshold };
+            verdict = Sep { Halfspace.weights = Array.make n Rat.zero; threshold };
             provenance = Certified_precheck;
           }
         end

@@ -2,7 +2,7 @@
 
     Fast float solvers ({!Cg}, {!Fsimplex}) produce candidate answers;
     {!Certify} re-derives each claim in exact rational arithmetic; the
-    exact {!Linsep.separable} is the escalation of last resort. The
+    exact {!Halfspace.separable} is the escalation of last resort. The
     module invariant: a [Sep]/[Unsep] verdict is only ever returned
     with an exact proof behind it — float arithmetic decides how fast
     and whether to escalate, never what the answer is.
@@ -28,7 +28,7 @@ type provenance =
       (** numeric tier failed and escalation was disabled *)
 
 type verdict =
-  | Sep of Linsep.classifier  (** exact separating classifier *)
+  | Sep of Halfspace.classifier  (** exact separating classifier *)
   | Unsep
   | Unknown of string  (** only reachable with [~escalate:false] *)
 
@@ -37,7 +37,9 @@ type answer = { verdict : verdict; provenance : provenance }
 (** Monotone counters over all decisions since the last
     {!Runtime_state} reset (registered as ["nsep.stats"]). Increments
     are abort-atomic per decision: a chaos abort can lose a decision,
-    never tear one. *)
+    never tear one. Every leaf that {!Linsep.min_errors_exact} decides
+    is one decision here, so an ApxSep search shows up as its leaf
+    count. *)
 type stats = {
   decided : int;
   certified_cg : int;
@@ -64,7 +66,7 @@ val current_tier : unit -> tier
     [true]) a failed numeric tier falls back to the exact solver and
     [Unknown] is unreachable; with [~escalate:false] the failure
     surfaces as [Unknown] with the guard/certification reason. *)
-val decide : ?tier:tier -> ?escalate:bool -> Linsep.example list -> answer
+val decide : ?tier:tier -> ?escalate:bool -> Halfspace.example list -> answer
 
 (** [decide_with_fallback ?budget ?runner ?tier examples] is the
     graceful-degradation ladder in the style of
@@ -77,14 +79,14 @@ val decide_with_fallback :
   ?budget:Budget.t ->
   ?runner:Guard.runner ->
   ?tier:tier ->
-  Linsep.example list ->
+  Halfspace.example list ->
   (answer, Guard.failure) result
 
-(** [separable examples] is a drop-in for {!Linsep.separable} routed
+(** [separable examples] is a drop-in for {!Halfspace.separable} routed
     through {!decide} (ambient tier, escalation on): same
     [classifier option] contract, same exact guarantees, numeric
     speed when the tier allows. *)
-val separable : Linsep.example list -> Linsep.classifier option
+val separable : Halfspace.example list -> Halfspace.classifier option
 
 (** [is_separable examples] is [separable examples <> None]. *)
-val is_separable : Linsep.example list -> bool
+val is_separable : Halfspace.example list -> bool

@@ -66,7 +66,7 @@ let after_suppression name =
   let survivors, n = Lint_source.apply (load_src name) (findings_for name) in
   (rule_keys survivors, n)
 
-let loop_node m =
+let loop_node ?(graph = graph) m =
   let g = Lazy.force graph in
   match
     List.find_opt
@@ -136,6 +136,32 @@ let test_cross_module_resolution () =
   let ticking = loop_node "Tf_cross_tick" in
   check Alcotest.bool "the Ldot-ticking loop reaches Budget.tick" true
     (Callgraph.reaches g ~target:"Budget.tick" ticking.Callgraph.id)
+
+(* The caller's module is walked before its helper's: the mention must
+   still resolve to the helper's definition, not to an external name
+   with no body, or the tick behind it is lost. *)
+let test_forward_reference () =
+  let graph =
+    lazy
+      (match
+         load ~lib_name:"tf_fixtures"
+           ~ml:[ "tf_cross_tick.ml"; "tf_cross_helper.ml" ]
+           ~mli:[]
+       with
+      | Ok srcs ->
+          (* descending names: Tf_cross_tick before Tf_cross_helper *)
+          Callgraph.build
+            (List.sort
+               (fun (a, _) (b, _) -> String.compare b a)
+               (List.map
+                  (fun (s : Typed_rules.source) ->
+                    (s.Typed_rules.s_mod, s.s_impl))
+                  srcs))
+      | Error msg -> Alcotest.fail msg)
+  in
+  check Alcotest.bool "the loop reaches Budget.tick through the helper" true
+    (Callgraph.reaches (Lazy.force graph) ~target:"Budget.tick"
+       (loop_node ~graph "Tf_cross_tick").Callgraph.id)
 
 let test_scc_detection () =
   let g = Lazy.force graph in
@@ -250,6 +276,7 @@ let () =
         [
           Alcotest.test_case "cross-module resolution" `Quick
             test_cross_module_resolution;
+          Alcotest.test_case "forward reference" `Quick test_forward_reference;
           Alcotest.test_case "scc detection" `Quick test_scc_detection;
         ] );
       ( "r1'",

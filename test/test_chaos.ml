@@ -108,6 +108,17 @@ let show_lp = function
 let linsep_sat = lazy (Planted.linsep_instance ~seed:0 ~dim:6 ~n:24)
 let linsep_mixed = lazy (Planted.linsep_instance ~seed:1 ~dim:4 ~n:20)
 
+(* The optimum with its witness: an abort inside a leaf's numeric tier
+   followed by a rerun must give back the same classifier, not only the
+   same error count. *)
+let show_min_errors = function
+  | Some (k, _, c) ->
+      Printf.sprintf "%d [%s] >= %s" k
+        (String.concat " "
+           (Array.to_list (Array.map Rat.to_string c.Linsep.weights)))
+        (Rat.to_string c.Linsep.threshold)
+  | None -> "none"
+
 let show_nsep a =
   match a.Nsep.verdict with
   | Nsep.Sep _ -> "sep"
@@ -218,15 +229,11 @@ let cases =
       c_name = "atoms_sep.min_errors(m=1)";
       reference =
         (fun () ->
-          match Atoms_sep.min_errors ~m:1 (Lazy.force mixed_training) with
-          | Some (k, _, _) -> string_of_int k
-          | None -> "none");
+          show_min_errors
+            (Atoms_sep.min_errors ~m:1 (Lazy.force mixed_training)));
       budgeted =
         (fun b ->
-          Result.map
-            (function
-              | Some (k, _, _) -> string_of_int k
-              | None -> "none")
+          Result.map show_min_errors
             (Guard.run b (fun () ->
                  Atoms_sep.min_errors ~m:1 (Lazy.force mixed_training))));
     };

@@ -348,7 +348,10 @@ let prop_numeric_agrees_with_exact =
    and a 40-node graph labeled by a CQ[2] query for serving. The
    digests were taken before certification and classification moved to
    integer arithmetic over a common denominator; exact answers must not
-   change a byte of the saved model. *)
+   change a byte of the saved model. The refuted model is pinned on both
+   tiers: its ApxSep leaves are decided by [Nsep], so the witness is the
+   exact simplex's vertex under [Exact_only] (the original digest) and
+   the certified CG fit under [Numeric]; the optimum, 3, is the same. *)
 let sub_seed i role = (((1 * 1_000_003) + i) * 8) + (2 * role)
 
 let typed_graph ~seed ~nodes ~edges ~unary =
@@ -385,7 +388,9 @@ let model_digest ~m ~refuted t =
     | Nsep.Sep c, false -> c
     | Nsep.Unsep, true -> (
         match Linsep.min_errors_exact ~cap:8 examples with
-        | Some (_, c) -> c
+        | Some (err, c) ->
+            check int_c "ApxSep optimum" 3 err;
+            c
         | None -> Alcotest.fail "no classifier within 8 errors")
     | _ -> Alcotest.fail "unexpected separability verdict"
   in
@@ -403,9 +408,18 @@ let test_golden_models () =
   in
   check string_c "separable CQ[3] model" "4b20a1174b0b6d187743f4e06c6cd286"
     (model_digest ~m:3 ~refuted:false (cqm 0));
-  check string_c "refuted CQ[3] model" "27a486e22cd15276255e64e235ba8ead"
-    (model_digest ~m:3 ~refuted:true
-       (Planted.flip_labels ~seed:(sub_seed 4 2) ~count:3 (cqm 4)));
+  let refuted = Planted.flip_labels ~seed:(sub_seed 4 2) ~count:3 (cqm 4) in
+  let saved = Nsep.current_tier () in
+  Nsep.set_tier Nsep.Exact_only;
+  let exact_only =
+    Fun.protect
+      ~finally:(fun () -> Nsep.set_tier saved)
+      (fun () -> model_digest ~m:3 ~refuted:true refuted)
+  in
+  check string_c "refuted CQ[3] model, exact-only tier"
+    "27a486e22cd15276255e64e235ba8ead" exact_only;
+  check string_c "refuted CQ[3] model" "acae757cc2f60b15e07ade9758aaca35"
+    (model_digest ~m:3 ~refuted:true refuted);
   check string_c "CQ[2] serving model" "951bdf489a40c79a71f0a5baa98e4186"
     (model_digest ~m:2 ~refuted:false
        (Planted.label_by_query

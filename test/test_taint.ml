@@ -119,7 +119,7 @@ let test_r14 () =
 let real_sources =
   lazy
     (load ~rel_dir:"../lib/linsep" ~lib_name:"linsep"
-       ~ml:[ "certify.ml"; "linsep.ml"; "nsep.ml" ]
+       ~ml:[ "certify.ml"; "halfspace.ml"; "linsep.ml"; "nsep.ml" ]
     @ load ~rel_dir:"../lib/lp" ~lib_name:"lp"
         ~ml:[ "cg.ml"; "fsimplex.ml"; "simplex.ml" ])
 
@@ -141,14 +141,22 @@ let test_nsep_lock () =
       match real_summary name with
       | None -> ()
       | Some why -> Alcotest.failf "%s became float-tainted: %s" name why)
-    [ "Nsep.decide"; "Nsep.separable"; "Nsep.is_separable" ];
+    [
+      "Nsep.decide";
+      "Nsep.separable";
+      "Nsep.is_separable";
+      "Linsep.min_errors_exact";
+    ];
   (* ... while the float tier underneath really is a taint source, so
      the lock is not vacuous. *)
   check bool_c "Cg.fit is float-tainted" true (real_summary "Cg.fit" <> None);
-  check bool_c "Nsep.decide touches the float tier" true
-    (match Callgraph.find_global (Lazy.force real_graph) "Nsep.decide" with
-    | Some id -> Taint.touches_float (Lazy.force real_taint) id
-    | None -> false)
+  List.iter
+    (fun name ->
+      check bool_c (name ^ " touches the float tier") true
+        (match Callgraph.find_global (Lazy.force real_graph) name with
+        | Some id -> Taint.touches_float (Lazy.force real_taint) id
+        | None -> false))
+    [ "Nsep.decide"; "Linsep.min_errors_exact" ]
 
 let test_tables () =
   check bool_c "+. is a source" true (Taint.source_head "+.");
