@@ -196,7 +196,7 @@ let bench_table1_cqm_sep_l () =
       let sets = Dim_sep.realizable_sets (lang_cqm 1) t in
       let ns =
         Bench_util.time_ns ~name:"cqm_sep_l" (fun () ->
-            ignore (Dim_sep.separable_with_sets ~dim:l ~sets t))
+            ignore (Dim_sep.witness_with_sets ~dim:l ~sets t))
       in
       Bench_util.row
         [
@@ -229,6 +229,53 @@ let bench_table1_ghw_sep_l () =
           (14, Bench_util.pp_ns ns);
         ])
     [ 3; 4; 5 ]
+
+(* Sep[*] (Prop 6.9) against one realizable-set sweep: min_dimension
+   computes the sets once and runs one combination search up to |eta|,
+   so its cost should read about one sweep. Each call is seconds long,
+   so this is the best of three wall-clock runs on cold caches rather
+   than a Bechamel estimate. Ungated. *)
+let bench_dim_min_dimension () =
+  Bench_util.header
+    "dim/min_dimension — Sep[*]: realizable-set sweep vs min_dimension \
+     (random graph, seed 5)";
+  Bench_util.row
+    [
+      (8, "lang"); (10, "entities"); (8, "min dim"); (12, "sweep");
+      (14, "min_dimension"); (8, "sweeps");
+    ];
+  Bench_util.rule ();
+  let best_of_3 f =
+    List.fold_left min infinity
+      (List.init 3 (fun _ ->
+           Runtime_state.reset_all ();
+           let t0 = Unix.gettimeofday () in
+           f ();
+           Unix.gettimeofday () -. t0))
+  in
+  List.iter
+    (fun (lang, nodes) ->
+      let t = random_graph_training ~seed:5 ~nodes ~edges:nodes in
+      let sweep =
+        best_of_3 (fun () -> ignore (Dim_sep.realizable_sets lang t))
+      in
+      let dim = ref None in
+      let min_dim =
+        best_of_3 (fun () -> dim := Cqfeat.min_dimension lang t)
+      in
+      Bench_util.row
+        [
+          (8, Language.to_string lang);
+          (10, string_of_int nodes);
+          (8, match !dim with Some d -> string_of_int d | None -> "-");
+          (12, Bench_util.pp_ns (sweep *. 1e9));
+          (14, Bench_util.pp_ns (min_dim *. 1e9));
+          (8, Printf.sprintf "%.2f" (min_dim /. sweep));
+        ])
+    [
+      (Language.Cq_all, 4); (Language.Cq_all, 5); (Language.Ghw 1, 4);
+      (Language.Ghw 1, 5);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Prop 4.1: |D|^c * 2^{q(k)} — polynomial data sweep, exponential
@@ -297,16 +344,16 @@ let bench_thm57_dimension () =
           (fun s -> not (Elem.Set.is_empty s))
           (Fo_dimension.indicator_family ~queries:qs ~db:t.Labeling.db)
       in
-      let rec min_dim d =
-        if d > 2 * m then -1
-        else if Dim_sep.separable_with_sets ~dim:d ~sets t then d
-        else min_dim (d + 1)
+      let min_dim =
+        match Dim_sep.witness_with_sets ~dim:(2 * m) ~sets t with
+        | Some (chosen, _) -> List.length chosen
+        | None -> -1
       in
       Bench_util.row
         [
           (8, string_of_int m);
           (14, string_of_int (2 * m));
-          (16, string_of_int (min_dim 0));
+          (16, string_of_int min_dim);
         ])
     [ 1; 2; 3; 4 ]
 
@@ -1402,6 +1449,7 @@ let experiments =
     ("prop41/sweep_db", bench_prop41_sweep_db);
     ("prop41/sweep_arity", bench_prop41_sweep_arity);
     ("thm57/dimension", bench_thm57_dimension);
+    ("dim/min_dimension", bench_dim_min_dimension);
     ("thm57/feature_size", bench_thm57_feature_size);
     ("alg1/classify", bench_alg1_classify);
     ("alg2/apxsep", bench_alg2_apxsep);

@@ -46,11 +46,10 @@ let () =
           (fun s -> not (Elem.Set.is_empty s))
           (Fo_dimension.indicator_family ~queries:qs ~db:chain.Labeling.db)
       in
-      let rec min_dim d =
-        if Dim_sep.separable_with_sets ~dim:d ~sets chain then d
-        else min_dim (d + 1)
-      in
-      Printf.printf "minimal dimension %d\n" (min_dim 0))
+      match Dim_sep.witness_with_sets ~dim:(List.length sets) ~sets chain with
+      | Some (chosen, _) ->
+          Printf.printf "minimal dimension %d\n" (List.length chosen)
+      | None -> print_endline "not separable (unexpected)")
     [ 1; 2; 3 ];
 
   section "3. FO and FO_k collapse to one feature";

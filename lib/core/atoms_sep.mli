@@ -47,6 +47,11 @@ val min_errors :
   m:int -> ?p:int -> ?cap:int -> Labeling.training ->
   (int * Statistic.t * Linsep.classifier) option
 
+(** [error_budget ~eps n] is the largest integer [≤ eps·n]: the number
+    of the [n] training entities an [eps]-ApxSep classifier may
+    misclassify. *)
+val error_budget : eps:Rat.t -> int -> int
+
 (** [apx_separable ~m ?p ~eps t] decides CQ[m]-ApxSep. *)
 val apx_separable : m:int -> ?p:int -> eps:Rat.t -> Labeling.training -> bool
 

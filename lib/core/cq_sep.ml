@@ -146,8 +146,8 @@ let pp_provenance fmt = function
       Format.fprintf fmt "approximate (slack %s)" (Rat.to_string slack)
   | Gave_up f -> Format.fprintf fmt "gave up: %s" (Guard.failure_to_string f)
 
-let decide_with_fallback ?budget ?(degrade = true) ?(rungs = [ 3; 2; 1 ])
-    ?(runner = Guard.runner) t =
+let decide_with_fallback ?budget ?(degrade = true) ?(runner = Guard.runner) t
+    =
   let b = default_budget budget in
   (* One absolute deadline bounds the whole ladder; fuel is refilled
      per rung so a failed exact attempt does not starve the cheaper
@@ -190,4 +190,4 @@ let decide_with_fallback ?budget ?(degrade = true) ?(rungs = [ 3; 2; 1 ])
   | Ok ans -> { answer = Some ans; provenance = Exact }
   | Error f when (not degrade) || not (Guard.is_resource_failure f) ->
       { answer = None; provenance = Gave_up f }
-  | Error _ -> down rungs
+  | Error _ -> down [ 3; 2; 1 ]

@@ -67,9 +67,9 @@ type ladder_result = {
 
 val pp_provenance : Format.formatter -> provenance -> unit
 
-(** [decide_with_fallback ?budget ?degrade ?rungs ?runner t]
+(** [decide_with_fallback ?budget ?degrade ?runner t]
     runs the graceful-degradation ladder: exact CQ-Sep, then CQ[m] for
-    each [m] in [rungs] (default [3; 2; 1]), then approximate
+    [m] = 3, 2, 1, then approximate
     separability with reported slack. All rungs share [budget]'s
     absolute deadline; fuel is refilled per rung. With
     [degrade = false] (or on a non-resource failure) the ladder stops
@@ -78,5 +78,5 @@ val pp_provenance : Format.formatter -> provenance -> unit
     [Isolate.runner ()] for hard process isolation, or wrap either in
     [Guard.retrying] for bounded budget-escalating retries. *)
 val decide_with_fallback :
-  ?budget:Budget.t -> ?degrade:bool -> ?rungs:int list ->
-  ?runner:Guard.runner -> Labeling.training -> ladder_result
+  ?budget:Budget.t -> ?degrade:bool -> ?runner:Guard.runner ->
+  Labeling.training -> ladder_result

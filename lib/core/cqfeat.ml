@@ -4,9 +4,15 @@ let log_src = Logs.Src.create "cqfeat" ~doc:"cqfeat core decisions"
 
 module Log = (val Logs.src_log log_src)
 
-let rec separable ?dim lang t =
+let separable ?dim lang t =
   let result =
-    separable_inner ?dim lang t
+    match (dim, (lang : Language.t)) with
+    | Some dim, _ -> Dim_sep.separable ~dim lang t
+    | None, (Cq_all | Epfo) -> Cq_sep.separable t
+    | None, Cq_atoms { m; p } -> Atoms_sep.separable ~m ?p t
+    | None, Ghw k -> Ghw_sep.separable ~k t
+    | None, Fo -> Fo_sep.fo_separable t
+    | None, Fo_k k -> Pebble_game.fok_separable ~k t
   in
   Log.debug (fun m ->
       m "%s-Sep%s(|eta|=%d) = %b" (Language.to_string lang)
@@ -15,55 +21,28 @@ let rec separable ?dim lang t =
         result);
   result
 
-and separable_inner ?dim lang t =
-  match dim with
-  | Some dim -> Dim_sep.separable ~dim lang t
-  | None -> begin
-      match (lang : Language.t) with
-      | Language.Cq_all | Language.Epfo -> Cq_sep.separable t
-      | Language.Cq_atoms { m; p } -> Atoms_sep.separable ~m ?p t
-      | Language.Ghw k -> Ghw_sep.separable ~k t
-      | Language.Fo -> Fo_sep.fo_separable t
-      | Language.Fo_k k -> Pebble_game.fok_separable ~k t
-    end
-
-let error_budget ~eps n =
-  let scaled = Rat.mul eps (Rat.of_int n) in
-  Bigint.to_int (Bigint.div (Rat.num scaled) (Rat.den scaled))
-
-(* FO analogue of Algorithm 2: majority label per isomorphism class is
-   the closest FO-separable relabeling. *)
-let fo_min_disagreement (t : Labeling.training) =
+(* The FO_k classes of indistinguishable entities. *)
+let fok_classes ~k (t : Labeling.training) =
   List.fold_left
-    (fun acc cls ->
-      let balance =
-        List.fold_left
-          (fun b e -> b + Labeling.label_sign (Labeling.get e t.labeling))
-          0 cls
+    (fun classes e ->
+      (* cqlint: allow R1 — recursion bounded by the class count; the
+         equivalence test inside ticks *)
+      let rec place = function
+        | [] -> [ [ e ] ]
+        | (rep :: _ as cls) :: rest ->
+            if Pebble_game.equivalent ~k (t.db, [ rep ]) (t.db, [ e ]) then
+              (e :: cls) :: rest
+            else cls :: place rest
+        | [] :: _ -> assert false
       in
-      let minority = (List.length cls - abs balance) / 2 in
-      acc + minority)
-    0 (Fo_sep.iso_classes t)
+      place classes)
+    []
+    (Db.entities t.db)
 
-(* Same majority argument, FO_k classes. *)
-let fok_min_disagreement ~k (t : Labeling.training) =
-  let classes =
-    List.fold_left
-      (fun classes e ->
-        (* cqlint: allow R1 — recursion bounded by the class count; the
-           equivalence test inside ticks *)
-        let rec place = function
-          | [] -> [ [ e ] ]
-          | (rep :: _ as cls) :: rest ->
-              if Pebble_game.equivalent ~k (t.db, [ rep ]) (t.db, [ e ]) then
-                (e :: cls) :: rest
-              else cls :: place rest
-          | [] :: _ -> assert false
-        in
-        place classes)
-      []
-      (Db.entities t.db)
-  in
+(* FO analogue of Algorithm 2: the closest separable relabeling gives
+   each class of indistinguishable entities its majority label, so the
+   least disagreement is the sum of the minorities. *)
+let min_disagreement (t : Labeling.training) classes =
   List.fold_left
     (fun acc cls ->
       let balance =
@@ -75,44 +54,26 @@ let fok_min_disagreement ~k (t : Labeling.training) =
     0 classes
 
 let apx_separable ?dim ~eps lang t =
-  match dim with
-  | Some dim -> begin
-      match (lang : Language.t) with
-      | Language.Fo ->
-          (* Dimension collapse: one feature always suffices. *)
-          dim >= 1
-          &&
-          let n = List.length (Db.entities t.Labeling.db) in
-          fo_min_disagreement t <= error_budget ~eps n
-      | Language.Fo_k k ->
-          dim >= 1
-          &&
-          let n = List.length (Db.entities t.Labeling.db) in
-          fok_min_disagreement ~k t <= error_budget ~eps n
-      | Language.Epfo | Language.Cq_all | Language.Cq_atoms _ | Language.Ghw _
-        ->
-          let lang =
-            match lang with Language.Epfo -> Language.Cq_all | l -> l
-          in
-          let sets = Dim_sep.realizable_sets lang t in
-          let n = List.length (Db.entities t.Labeling.db) in
-          let budget = error_budget ~eps n in
-          (match Dim_sep.min_errors_with_sets ~dim ~sets ~cap:budget t with
-          | Some (err, _, _) -> err <= budget
-          | None -> false)
-    end
-  | None -> begin
-      match (lang : Language.t) with
-      | Language.Cq_all | Language.Epfo -> Cq_sep.apx_separable ~eps t
-      | Language.Cq_atoms { m; p } -> Atoms_sep.apx_separable ~m ?p ~eps t
-      | Language.Ghw k -> Ghw_sep.apx_separable ~k ~eps t
-      | Language.Fo ->
-          let n = List.length (Db.entities t.Labeling.db) in
-          fo_min_disagreement t <= error_budget ~eps n
-      | Language.Fo_k k ->
-          let n = List.length (Db.entities t.Labeling.db) in
-          fok_min_disagreement ~k t <= error_budget ~eps n
-    end
+  let budget =
+    Atoms_sep.error_budget ~eps (List.length (Db.entities t.Labeling.db))
+  in
+  (* Dimension collapse (Prop 8.1 / Cor 8.5): for FO and FO_k one
+     feature always suffices. *)
+  let fo_within classes =
+    (match dim with Some d -> d >= 1 | None -> true)
+    && min_disagreement t (classes ()) <= budget
+  in
+  match ((lang : Language.t), dim) with
+  | Fo, _ -> fo_within (fun () -> Fo_sep.iso_classes t)
+  | Fo_k k, _ -> fo_within (fun () -> fok_classes ~k t)
+  | (Cq_all | Epfo | Cq_atoms _ | Ghw _), Some dim ->
+      Dim_sep.min_errors_with_sets ~dim
+        ~sets:(Dim_sep.realizable_sets lang t)
+        ~cap:budget t
+      <> None
+  | (Cq_all | Epfo), None -> Cq_sep.apx_separable ~eps t
+  | Cq_atoms { m; p }, None -> Atoms_sep.apx_separable ~m ?p ~eps t
+  | Ghw k, None -> Ghw_sep.apx_separable ~k ~eps t
 
 let generate ?(ghw_depth = 2) ?dim lang t =
   Log.info (fun m ->
@@ -151,23 +112,23 @@ let classify ?dim lang t eval_db =
     end
 
 let apx_classify ~eps lang t eval_db =
+  let within_budget err =
+    let budget =
+      Atoms_sep.error_budget ~eps (List.length (Db.entities t.Labeling.db))
+    in
+    if err > budget then
+      Guard.solver_error
+        "Cqfeat.apx_classify: %d errors exceed the eps budget %d" err budget
+  in
   match (lang : Language.t) with
   | Language.Ghw k ->
       let labeling, err = Ghw_sep.apx_classify ~k t eval_db in
-      let n = List.length (Db.entities t.Labeling.db) in
-      if err > error_budget ~eps n then
-        Guard.solver_error
-          "Cqfeat.apx_classify: %d errors exceed the eps budget %d" err
-          (error_budget ~eps n);
+      within_budget err;
       (labeling, err)
   | Language.Cq_atoms { m; p } -> Atoms_sep.apx_classify ~m ?p ~eps t eval_db
   | Language.Cq_all | Language.Epfo ->
       let relabeling, err = Cq_sep.apx_relabel t in
-      let n = List.length (Db.entities t.Labeling.db) in
-      if err > error_budget ~eps n then
-        Guard.solver_error
-          "Cqfeat.apx_classify: %d errors exceed the eps budget %d" err
-          (error_budget ~eps n);
+      within_budget err;
       let t' = Labeling.training t.Labeling.db relabeling in
       (Cq_sep.classify t' eval_db, err)
   | (Language.Fo | Language.Fo_k _) as lang ->

@@ -13,15 +13,22 @@
       PTIME, generation exponential.
     - {!Language.Fo} — isomorphism machinery ({!Fo_sep});
       GI-complete, dimension collapses to 1.
-    With [?dim] the bounded-dimension variants Sep[ℓ] ({!Dim_sep})
-    are used — exponential searches, as Theorem 6.6 demands. *)
+    With [?dim] each problem delegates to its bounded-dimension variant
+    in {!Dim_sep} — one combination search over realizable indicator
+    sets, exponential as Theorem 6.6 demands — except for [Fo]/[Fo_k],
+    whose dimension collapses to 1 (Prop 8.1 / Cor 8.5): there [dim]
+    only requires [dim ≥ 1]. *)
 
 (** [separable ?dim lang t] — [L]-Sep (or [L]-Sep[ℓ] when [dim] is
     given). *)
 val separable : ?dim:int -> Language.t -> Labeling.training -> bool
 
 (** [apx_separable ?dim ~eps lang t] — [L]-ApxSep (or [L]-ApxSep[ℓ]):
-    may an [eps] fraction of the training entities be misclassified? *)
+    may an [eps] fraction of the training entities be misclassified
+    ({!Atoms_sep.error_budget})? With [dim] this is
+    {!Dim_sep.min_errors_with_sets} over {!Dim_sep.realizable_sets}
+    (Prop 7.3(3)); for [Fo]/[Fo_k] it is the majority relabeling of
+    the classes of indistinguishable entities, with or without [dim]. *)
 val apx_separable : ?dim:int -> eps:Rat.t -> Language.t -> Labeling.training -> bool
 
 (** [generate ?ghw_depth ?dim lang t] — feature generation: a statistic
@@ -53,8 +60,9 @@ val classify : ?dim:int -> Language.t -> Labeling.training -> Db.t -> Labeling.t
 val apx_classify :
   eps:Rat.t -> Language.t -> Labeling.training -> Db.t -> Labeling.t * int
 
-(** [min_dimension ?max_dim lang t] — least statistic dimension that
-    separates [t] (bounded search). *)
+(** [min_dimension ?max_dim lang t] — [L]-Sep[*]: the least statistic
+    dimension that separates [t], up to [max_dim] (default [|η(D)|]);
+    see {!Dim_sep.min_dimension}. *)
 val min_dimension : ?max_dim:int -> Language.t -> Labeling.training -> int option
 
 (** [generate_b ?budget ?ghw_depth ?dim lang t] is {!generate} under

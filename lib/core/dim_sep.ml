@@ -21,7 +21,7 @@ let subsets_of_entities entities =
 let realizable_sets lang (t : Labeling.training) =
   let entities = Db.entities t.db in
   match (lang : Language.t) with
-  | Fo | Fo_k _ | Epfo ->
+  | Fo | Fo_k _ ->
       Guard.solver_error
         "Dim_sep.realizable_sets: %s collapses to dimension 1 (Prop 8.1 / \
          Cor 8.5); use Fo_sep or Pebble_game"
@@ -35,13 +35,14 @@ let realizable_sets lang (t : Labeling.training) =
               (Elem.Set.of_list
                  (List.filteri (fun i _ -> Eval_engine.Column.mem c i) entities)))
         (Atoms_sep.pruned_columns ~m ?p t.db)
-  | Cq_all | Ghw _ ->
+  | Cq_all | Epfo | Ghw _ ->
+      (* ∃FO⁺ is searched over CQ's sets (see the interface). *)
       let decide pos neg =
         let inst = Qbe.make t.db ~pos ~neg in
         match lang with
-        | Cq_all -> Qbe.cq_decide inst
+        | Cq_all | Epfo -> Qbe.cq_decide inst
         | Ghw k -> Qbe.ghw_decide ~k inst
-        | Cq_atoms _ | Fo | Fo_k _ | Epfo -> assert false
+        | Cq_atoms _ | Fo | Fo_k _ -> assert false
       in
       List.filter
         (fun s ->
@@ -74,136 +75,72 @@ let dedupe_columns cols =
       end)
     cols
 
-let witness_with_sets ?(seed_numeric = false) ~dim ~sets
-    (t : Labeling.training) =
+(* The one combination search behind Sep[ℓ], Sep[*] and ApxSep[ℓ]:
+   every choice of at most [dim] of the deduplicated candidate columns,
+   by ascending size and lexicographically within a size. [leaf] sees a
+   choice as its indicator sets and the training's ±1 vectors over
+   them; the search stops at the first leaf that answers [Some]. *)
+let first_combination (type a) ~dim ~sets (t : Labeling.training)
+    (leaf : Elem.Set.t list -> Linsep.example list -> a option) : a option =
   let entities = Db.entities t.db in
-  let labels =
-    Array.of_list (List.map (fun e -> Labeling.get e t.labeling) entities)
-  in
-  let n = Array.length labels in
+  let labels = List.map (fun e -> Labeling.get e t.labeling) entities in
   let cols = Array.of_list (dedupe_columns (columns_of_sets ~sets entities)) in
   let ncols = Array.length cols in
   let examples_of chosen =
-    List.init n (fun i ->
+    List.mapi
+      (fun i label ->
         {
           Linsep.vec =
             Array.of_list
-              (List.map
-                 (fun c -> if (snd cols.(c)).(i) then 1 else -1)
-                 chosen);
-          label = labels.(i);
+              (List.map (fun c -> if (snd cols.(c)).(i) then 1 else -1) chosen);
+          label;
         })
+      labels
   in
-  let exception Found of int list * Linsep.classifier in
-  let check chosen =
-    (* Numeric tier with exact certification; escalates internally. *)
-    match Nsep.separable (examples_of chosen) with
-    | Some c -> raise (Found (chosen, c))
-    | None -> ()
-  in
-  (* l1-seeded candidate: fit one sparsified numeric separator over
-     ALL candidate columns and try its support first. A pure
-     search-order heuristic — [check] raises on success and the
-     exhaustive sweep below runs unchanged otherwise, so the verdict
-     is identical with or without it. *)
-  let seed () =
-    if seed_numeric && ncols > 0 && n > 0 then begin
-      Budget.tick ~what:"dim: numeric support seeding" ();
-      let xs =
-        Array.init n (fun i ->
-            Array.init ncols (fun c ->
-                if (snd cols.(c)).(i) then 1.0 else -1.0))
-      in
-      let ys =
-        Array.init n (fun i -> float_of_int (Labeling.label_sign labels.(i)))
-      in
-      let config = { Cg.default_config with Cg.l1 = 0.1 } in
-      let sup = Cg.support (Cg.fit ~config ~xs ~ys ()) in
-      let cap = min dim ncols in
-      match List.filteri (fun i _ -> i < cap) sup with
-      | [] -> ()
-      | chosen -> check chosen
-    end
-  in
-  (* Sizes 0..dim: combinations of column indices. *)
+  let exception Found of a in
   let rec combos size start acc =
     Budget.tick ~what:"dim: feature combination search" ();
-    if size = 0 then check (List.rev acc)
+    if size = 0 then begin
+      let chosen = List.rev acc in
+      let sets = List.map (fun c -> fst cols.(c)) chosen in
+      match leaf sets (examples_of chosen) with
+      | Some found -> raise (Found found)
+      | None -> ()
+    end
     else
       for c = start to ncols - size do
         combos (size - 1) (c + 1) (c :: acc)
       done
   in
   match
-    seed ();
     for size = 0 to min dim ncols do
       combos size 0 []
     done
   with
   | () -> None
-  | exception Found (chosen, c) ->
-      Some (List.map (fun i -> fst cols.(i)) chosen, c)
+  | exception Found found -> Some found
 
-let separable_with_sets ?seed_numeric ~dim ~sets t =
-  witness_with_sets ?seed_numeric ~dim ~sets t <> None
+let witness_with_sets ~dim ~sets t =
+  (* Numeric tier with exact certification; escalates internally. *)
+  first_combination ~dim ~sets t (fun chosen examples ->
+      Option.map (fun c -> (chosen, c)) (Nsep.separable examples))
 
-(* Minimum training error over statistics of at most [dim] of the
-   candidate sets: exhaustive over the (deduplicated) combinations,
-   exact min-error LP search inside. Drives the ApxSep[ℓ] variants
-   (Prop 7.3(3)). *)
 let min_errors_with_sets ~dim ~sets ?cap (t : Labeling.training) =
-  let entities = Db.entities t.db in
-  let labels =
-    Array.of_list (List.map (fun e -> Labeling.get e t.labeling) entities)
-  in
-  let n = Array.length labels in
-  let cols = Array.of_list (dedupe_columns (columns_of_sets ~sets entities)) in
-  let ncols = Array.length cols in
-  let examples_of chosen =
-    List.init n (fun i ->
-        {
-          Linsep.vec =
-            Array.of_list
-              (List.map
-                 (fun c -> if (snd cols.(c)).(i) then 1 else -1)
-                 chosen);
-          label = labels.(i);
-        })
+  let cap =
+    ref (match cap with Some c -> c | None -> List.length (Db.entities t.db))
   in
   let best = ref None in
-  let consider chosen =
-    let cap' =
-      match (!best, cap) with
-      | Some (b, _), _ -> b - 1
-      | None, Some c -> c
-      | None, None -> n
-    in
-    if cap' >= 0 then begin
-      match Linsep.min_errors_exact ~cap:cap' (examples_of chosen) with
-      | Some (err, cl) ->
-          let sets' = List.map (fun c -> fst cols.(c)) chosen in
-          best := Some (err, (sets', cl))
-      | None -> ()
-    end
-  in
-  let rec combos size start acc =
-    Budget.tick ~what:"dim: feature combination search" ();
-    if size = 0 then consider (List.rev acc)
-    else
-      for c = start to ncols - size do
-        combos (size - 1) (c + 1) (c :: acc)
-      done
-  in
-  for size = 0 to min dim ncols do
-    combos size 0 []
-  done;
-  match !best with
-  | Some (err, (sets', cl)) -> Some (err, sets', cl)
-  | None -> None
-
-let separable_with_sets_of t lang dim =
-  let sets = realizable_sets lang t in
-  separable_with_sets ~dim ~sets t
+  if !cap >= 0 then
+    ignore
+      (first_combination ~dim ~sets t (fun chosen examples ->
+           match Linsep.min_errors_exact ~cap:!cap examples with
+           | Some (err, c) ->
+               (* Only a strictly better choice may replace this one. *)
+               best := Some (err, chosen, c);
+               cap := err - 1;
+               if err = 0 then Some () else None
+           | None -> None));
+  !best
 
 let separable ~dim lang (t : Labeling.training) =
   match (lang : Language.t) with
@@ -214,12 +151,8 @@ let separable ~dim lang (t : Labeling.training) =
   | Fo_k k ->
       (* Dimension collapse for FO_k (Cor 8.5). *)
       dim >= 1 && Pebble_game.fok_separable ~k t
-  | Epfo ->
-      (* ∃FO⁺ agrees with CQ on separability (Prop 8.3(2)) and on
-         realizable indicator sets (both are closed the same way on
-         finite databases). *)
-      separable_with_sets_of t Language.Cq_all dim
-  | (Cq_all | Cq_atoms _ | Ghw _) as lang -> separable_with_sets_of t lang dim
+  | Cq_all | Cq_atoms _ | Ghw _ | Epfo ->
+      witness_with_sets ~dim ~sets:(realizable_sets lang t) t <> None
 
 (* Realize an indicator set S as an actual feature query of the
    language: a QBE explanation for (D, S, η∖S). *)
@@ -252,17 +185,13 @@ let realize_set ?(ghw_depth_cap = 8) lang (t : Labeling.training) s =
         (Language.to_string lang)
 
 let generate ?ghw_depth_cap ~dim lang (t : Labeling.training) =
-  let search_lang =
-    match (lang : Language.t) with Epfo -> Language.Cq_all | l -> l
-  in
-  let sets = realizable_sets search_lang t in
-  match witness_with_sets ~dim ~sets t with
+  match witness_with_sets ~dim ~sets:(realizable_sets lang t) t with
   | None -> None
   | Some (chosen, classifier) ->
       let features =
         List.map
           (fun s ->
-            match realize_set ?ghw_depth_cap search_lang t s with
+            match realize_set ?ghw_depth_cap lang t s with
             | Some q -> q
             | None ->
                 Guard.solver_error
@@ -273,16 +202,21 @@ let generate ?ghw_depth_cap ~dim lang (t : Labeling.training) =
       in
       Some (features, classifier)
 
+(* Sizes ascend, so the first witness of the search up to [max_dim] has
+   the least separating dimension; the realizable sets are computed
+   once for all dimensions. *)
 let min_dimension ?max_dim lang (t : Labeling.training) =
-  let n = List.length (Db.entities t.db) in
-  let max_dim = match max_dim with Some d -> d | None -> n in
-  let rec go d =
-    Budget.tick ~what:"dim: dimension search" ();
-    if d > max_dim then None
-    else if separable ~dim:d lang t then Some d
-    else go (d + 1)
+  let max_dim =
+    match max_dim with Some d -> d | None -> List.length (Db.entities t.db)
   in
-  go 0
+  match (lang : Language.t) with
+  | Fo | Fo_k _ -> if separable ~dim:max_dim lang t then Some 1 else None
+  | Cq_all | Cq_atoms _ | Ghw _ | Epfo ->
+      if max_dim < 0 then None
+      else
+        Option.map
+          (fun (chosen, _) -> List.length chosen)
+          (witness_with_sets ~dim:max_dim ~sets:(realizable_sets lang t) t)
 
 (* --- Lemma 6.5: QBE ≤p Sep[ℓ] ---------------------------------------- *)
 

@@ -19,42 +19,45 @@
 
 (** [realizable_sets lang t] is the distinct nonempty [L]-realizable
     indicator sets over [t]'s entities (the empty set is excluded: a
-    constantly-negative feature never helps separation).
-    @raise Budget.Exhausted with [Solver_error] for [Fo]/[Epfo] (use
-    {!Fo_sep}; FO dimension collapses anyway, Prop 8.1). *)
+    constantly-negative feature never helps separation). [Epfo] gets
+    [Cq_all]'s sets: ∃FO⁺ is treated as CQ throughout, which Prop
+    8.3(2) justifies for Sep; a union of CQs, one ∃FO⁺ feature, can
+    realize sets no CQ does, so bounded-dimension answers for [Epfo]
+    are CQ's.
+    @raise Budget.Exhausted with [Solver_error] for [Fo]/[Fo_k] (use
+    {!Fo_sep}/{!Pebble_game}; FO dimension collapses anyway, Prop 8.1 /
+    Cor 8.5). *)
 val realizable_sets : Language.t -> Labeling.training -> Elem.Set.t list
 
-(** [separable_with_sets ~dim ~sets t] decides whether at most [dim] of
-    the candidate indicator [sets] make [t]'s labeling linearly
-    separable (combinatorial search + LP). *)
-val separable_with_sets :
-  ?seed_numeric:bool ->
-  dim:int -> sets:Elem.Set.t list -> Labeling.training -> bool
+(** The searches below share one enumeration: the candidate [sets] are
+    turned into ±1 columns over [t]'s entities, deduplicated up to
+    complement, and every choice of at most [dim] of them is visited by
+    ascending size, lexicographically within a size, each choice
+    decided by an LP. *)
 
-(** [witness_with_sets ~dim ~sets t] additionally returns a choice of
-    sets and a classifier.
-
-    [seed_numeric] (default [false]) first fits one l1-sparsified
-    numeric separator ({!Cg.fit}) over all candidate columns and tries
-    its {!Cg.support} as the opening combination — a search-order
-    heuristic only: on a miss the exhaustive sweep runs unchanged, so
-    the verdict is identical either way (the witness found first may
-    differ). *)
+(** [witness_with_sets ~dim ~sets t] is the first choice of at most
+    [dim] candidate [sets] that makes [t]'s labeling linearly separable
+    ({!Nsep.separable}, exactly certified), with its classifier; [None]
+    if there is none. Sizes ascend, so the witness has the fewest sets
+    of any. *)
 val witness_with_sets :
-  ?seed_numeric:bool ->
   dim:int -> sets:Elem.Set.t list -> Labeling.training ->
   (Elem.Set.t list * Linsep.classifier) option
 
 (** [min_errors_with_sets ~dim ~sets ?cap t] is the minimum training
     error over statistics of at most [dim] of the candidate [sets],
-    with a witnessing choice and classifier — the ApxSep[ℓ] objective
-    (Prop 7.3(3)). [cap] bounds the acceptable error. *)
+    with the first choice and classifier that attain it — the
+    ApxSep[ℓ] objective (Prop 7.3(3)). Each choice runs
+    {!Linsep.min_errors_exact} capped one below the best error so far;
+    the search stops at error 0. [cap] (default [|η(D)|]) bounds the
+    acceptable error: [None] when no choice is within it. *)
 val min_errors_with_sets :
   dim:int -> sets:Elem.Set.t list -> ?cap:int -> Labeling.training ->
   (int * Elem.Set.t list * Linsep.classifier) option
 
-(** [separable ~dim lang t] decides [L]-Sep[ℓ] / [L]-Sep[*] with
-    [ℓ = dim]. *)
+(** [separable ~dim lang t] decides [L]-Sep[ℓ] with [ℓ = dim]:
+    {!witness_with_sets} over {!realizable_sets}, or the dimension
+    collapse for [Fo]/[Fo_k] (separable at all, and [dim ≥ 1]). *)
 val separable : dim:int -> Language.t -> Labeling.training -> bool
 
 (** [realize_set ?ghw_depth_cap lang t s] materializes a feature query
@@ -77,8 +80,11 @@ val generate :
   (Cq.t list * Linsep.classifier) option
 
 (** [min_dimension ?max_dim lang t] is the least dimension separating
-    [t] (searching up to [max_dim], default [|η(D)|]); [None] if no
-    dimension up to the bound suffices. *)
+    [t] — [L]-Sep[*] — searching up to [max_dim] (default [|η(D)|]);
+    [None] if no dimension up to the bound suffices. It is the size of
+    {!witness_with_sets}'s witness with [dim = max_dim], over
+    {!realizable_sets} computed once. For [Fo]/[Fo_k] it is [Some 1]
+    iff [max_dim ≥ 1] and [t] is separable at all. *)
 val min_dimension : ?max_dim:int -> Language.t -> Labeling.training -> int option
 
 (** [qbe_to_sep ~l inst] is the Lemma 6.5 reduction: builds a training

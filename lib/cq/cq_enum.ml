@@ -45,7 +45,6 @@ let generate ?max_var_occ ~schema ~max_atoms ~emit () =
   in
   let rec go atoms count next_fresh existing occ min_rel =
     Budget.tick ~what:"CQ[m] feature enumeration" ();
-    Budget.check_depth ~what:"CQ[m] atom count" count;
     emit (List.rev atoms);
     if count < max_atoms then
       for r = min_rel to Array.length schema - 1 do

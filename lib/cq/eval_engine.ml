@@ -3,7 +3,7 @@ type plan =
   | Decomposed of Cq_decomp.decomp list
   | Hom_search
 
-let plan ?(max_width = 2) q =
+let plan q =
   Budget.tick ~what:"query planning" ();
   (* The structured engines pay a per-query planning cost that grows
      with the atom count (cubic ear search, exponential decomposition
@@ -19,7 +19,7 @@ let plan ?(max_width = 2) q =
       else begin
         let rec try_width k =
           Budget.tick ~what:"plan: decomposition width search" ();
-          if k > max_width then Hom_search
+          if k > 2 then Hom_search
           else begin
             match Cq_decomp.decomposition q ~k with
             | Some forest -> Decomposed forest
@@ -158,29 +158,22 @@ let batch qs =
     features = Array.of_list features;
   }
 
-module Elem_tbl = Hashtbl.Make (struct
-  type t = Elem.t
-
-  let equal = Elem.equal
-  let hash = Elem.hash
-end)
-
 let columns b db es =
   let n = Array.length es in
   let rels = Atom_rels.create db in
   (* The positions of each element in [es], latest first. *)
-  let positions = Elem_tbl.create n in
+  let positions = Elem.Tbl.create n in
   Array.iteri
     (fun i e ->
-      let ps = Option.value ~default:[] (Elem_tbl.find_opt positions e) in
-      Elem_tbl.replace positions e (i :: ps))
+      let ps = Option.value ~default:[] (Elem.Tbl.find_opt positions e) in
+      Elem.Tbl.replace positions e (i :: ps))
     es;
   let x_column (q, p) =
     Budget.tick ~what:"batch: x-column" ();
     let col = Column.create n in
-    let mark e = List.iter (Column.set col) (Elem_tbl.find positions e) in
+    let mark e = List.iter (Column.set col) (Elem.Tbl.find positions e) in
     let mark_all selected =
-      List.iter (fun e -> if Elem_tbl.mem positions e then mark e) selected
+      List.iter (fun e -> if Elem.Tbl.mem positions e then mark e) selected
     in
     (match p with
     | Hom_search ->
@@ -188,7 +181,7 @@ let columns b db es =
            (at its latest position). *)
         Array.iteri
           (fun i e ->
-            if List.hd (Elem_tbl.find positions e) = i && Cq.selects q db e
+            if List.hd (Elem.Tbl.find positions e) = i && Cq.selects q db e
             then mark e)
           es
     | p -> mark_all (eval_in rels q p));

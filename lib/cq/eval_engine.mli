@@ -26,9 +26,9 @@ type plan =
   | Decomposed of Cq_decomp.decomp list
   | Hom_search
 
-(** [plan ?max_width q] chooses an engine ([max_width] bounds the
-    decomposition search; default 2). *)
-val plan : ?max_width:int -> Cq.t -> plan
+(** [plan q] chooses an engine: a join tree when [q] is α-acyclic, else
+    a decomposition of width at most 2, else homomorphism search. *)
+val plan : Cq.t -> plan
 
 (** [plan_kind_name p] is a short label for reporting/benches. *)
 val plan_kind_name : plan -> string

@@ -29,16 +29,15 @@ let project keep rel =
   let kept_cols =
     List.filter (fun v -> col_index rel.cols v <> None) keep
   in
-  let seen = Hashtbl.create 64 in
+  let seen = Elem.Row_tbl.create 64 in
   let rows =
     List.filter_map
       (fun row ->
-        let r = Array.of_list (List.map (fun p -> row.(p)) positions) in
-        let key = Array.to_list r in
-        if Hashtbl.mem seen key then None
+        let key = List.map (fun p -> row.(p)) positions in
+        if Elem.Row_tbl.mem seen key then None
         else begin
-          Hashtbl.add seen key ();
-          Some r
+          Elem.Row_tbl.add seen key ();
+          Some (Array.of_list key)
         end)
       rel.rows
   in
@@ -54,21 +53,21 @@ let natural_join a b =
     List.filter (fun v -> col_index a.cols v = None) b.cols
   in
   let b_extra_pos = List.filter_map (fun v -> col_index b.cols v) b_extra_cols in
-  let index = Hashtbl.create (List.length b.rows) in
+  let index = Elem.Row_tbl.create (List.length b.rows) in
   List.iter
     (fun row ->
       let key = List.map (fun p -> row.(p)) b_pos in
       let existing =
-        match Hashtbl.find_opt index key with Some l -> l | None -> []
+        match Elem.Row_tbl.find_opt index key with Some l -> l | None -> []
       in
-      Hashtbl.replace index key (row :: existing))
+      Elem.Row_tbl.replace index key (row :: existing))
     b.rows;
   let rows =
     List.concat_map
       (fun arow ->
         Budget.tick ~what:"decomposed join" ();
         let key = List.map (fun p -> arow.(p)) a_pos in
-        match Hashtbl.find_opt index key with
+        match Elem.Row_tbl.find_opt index key with
         | None -> []
         | Some brows ->
             List.map
@@ -84,9 +83,10 @@ let semijoin a b =
   let shared = List.filter (fun v -> col_index b.cols v <> None) a.cols in
   let a_pos = List.filter_map (fun v -> col_index a.cols v) shared in
   let b_pos = List.filter_map (fun v -> col_index b.cols v) shared in
-  let keys = Hashtbl.create (List.length b.rows) in
+  let keys = Elem.Row_tbl.create (List.length b.rows) in
   List.iter
-    (fun row -> Hashtbl.replace keys (List.map (fun p -> row.(p)) b_pos) ())
+    (fun row ->
+      Elem.Row_tbl.replace keys (List.map (fun p -> row.(p)) b_pos) ())
     b.rows;
   {
     a with
@@ -94,7 +94,7 @@ let semijoin a b =
       List.filter
         (fun row ->
           Budget.tick ~what:"decomposed semijoin" ();
-          Hashtbl.mem keys (List.map (fun p -> row.(p)) a_pos))
+          Elem.Row_tbl.mem keys (List.map (fun p -> row.(p)) a_pos))
         a.rows;
   }
 

@@ -108,20 +108,6 @@ let shared_positions dvars_a dvars_b =
          in
          (idx dvars_a, idx dvars_b))
 
-module Elem_tbl = Hashtbl.Make (struct
-  type t = Elem.t
-
-  let equal = Elem.equal
-  let hash = Elem.hash
-end)
-
-module Key_tbl = Hashtbl.Make (struct
-  type t = Elem.t list
-
-  let equal = List.equal Elem.equal
-  let hash = List.fold_left (fun acc e -> (acc * 31) + Elem.hash e) 17
-end)
-
 let project row positions = List.map (fun p -> row.(p)) positions
 
 (* a ⋉ b on the shared columns. One shared column (the common case
@@ -131,14 +117,16 @@ let semijoin (rel_a, dv_a) (rel_b, dv_b) =
   match shared_positions dv_a dv_b with
   | [] -> if rel_b = [] then [] else rel_a
   | [ (pa, pb) ] ->
-      let keys = Elem_tbl.create 64 in
-      List.iter (fun row -> Elem_tbl.replace keys row.(pb) ()) rel_b;
-      List.filter (fun row -> Elem_tbl.mem keys row.(pa)) rel_a
+      let keys = Elem.Tbl.create 64 in
+      List.iter (fun row -> Elem.Tbl.replace keys row.(pb) ()) rel_b;
+      List.filter (fun row -> Elem.Tbl.mem keys row.(pa)) rel_a
   | pos ->
       let pa = List.map fst pos and pb = List.map snd pos in
-      let keys = Key_tbl.create 64 in
-      List.iter (fun row -> Key_tbl.replace keys (project row pb) ()) rel_b;
-      List.filter (fun row -> Key_tbl.mem keys (project row pa)) rel_a
+      let keys = Elem.Row_tbl.create 64 in
+      List.iter
+        (fun row -> Elem.Row_tbl.replace keys (project row pb) ())
+        rel_b;
+      List.filter (fun row -> Elem.Row_tbl.mem keys (project row pa)) rel_a
 
 let eval_tree rels t =
   let rows = Array.map (Atom_rels.rows rels) t.atoms in

@@ -36,9 +36,9 @@ type outcome =
    ratio test need a dead zone or round-off pivots forever. *)
 let eps = 1e-9
 
-let well_conditioned ?(max_growth = 1e8) ?(min_pivot = 1e-7) q =
-  q.pivots >= 0 && q.growth <= max_growth
-  && (q.pivots = 0 || Float.abs q.min_pivot >= min_pivot)
+let well_conditioned q =
+  q.pivots >= 0 && q.growth <= 1e8
+  && (q.pivots = 0 || Float.abs q.min_pivot >= 1e-7)
 
 type tableau = {
   t : float array array;

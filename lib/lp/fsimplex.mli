@@ -33,12 +33,11 @@ type outcome =
           [Σ mu_i·rhs_i > 0] — properties the exact certifier
           re-derives rather than trusts *)
 
-(** [well_conditioned ?max_growth ?min_pivot q] is the deterministic
-    escalation guard: [false] when element growth exceeded
-    [max_growth] (default 1e8) or some pivot magnitude fell below
-    [min_pivot] (default 1e-7) — tableaux past those thresholds have
-    lost too many digits for their verdicts to be worth certifying. *)
-val well_conditioned : ?max_growth:float -> ?min_pivot:float -> quality -> bool
+(** [well_conditioned q] is the deterministic escalation guard: [false]
+    when element growth exceeded 1e8 or some pivot magnitude fell below
+    1e-7 — tableaux past those thresholds have lost too many digits for
+    their verdicts to be worth certifying. *)
+val well_conditioned : quality -> bool
 
 (** [feasible ~nvars ~rows ()] decides (numerically) whether the rows
     admit a solution over [nvars] free variables.

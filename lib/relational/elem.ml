@@ -49,3 +49,17 @@ end
 
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
+module Row_tbl = Hashtbl.Make (struct
+  type nonrec t = t list
+
+  let equal = List.equal equal
+  let hash = List.fold_left (fun acc e -> (acc * 31) + hash e) 17
+end)

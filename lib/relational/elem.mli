@@ -32,3 +32,10 @@ val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+
+(** Hash tables keyed by elements, hashed in full by {!hash}. *)
+module Tbl : Hashtbl.S with type key = t
+
+(** Hash tables keyed by rows of elements (a relation's tuples, a
+    join's shared columns), hashed in full by {!hash}. *)
+module Row_tbl : Hashtbl.S with type key = t list

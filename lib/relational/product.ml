@@ -41,7 +41,6 @@ let nary dbs =
         List.filter_map mk (combos fact_lists)
       in
       let facts = List.concat_map product_facts_of_rel rels in
-      Budget.check_size ~what:"product database" (List.length facts);
       Db.of_facts facts
 
 let binary d1 d2 = nary [ d1; d2 ]

@@ -95,8 +95,6 @@ type t = {
   deadline : float option;  (* absolute, Clock seconds *)
   initial_fuel : int;  (* max_int means unlimited *)
   mutable fuel : int;  (* remaining fuel not yet handed out as credit *)
-  max_recursion : int option;
-  max_size : int option;
   mutable credit : int;  (* prepaid ticks before the next replenish *)
   chaos : chaos option;
 }
@@ -109,13 +107,11 @@ let unlimited =
     deadline = None;
     initial_fuel = max_int;
     fuel = max_int;
-    max_recursion = None;
-    max_size = None;
     credit = clock_period;
     chaos = None;
   }
 
-let make ?timeout ?fuel ?max_recursion ?max_size ?chaos () =
+let make ?timeout ?fuel ?chaos () =
   (match timeout with
   | Some s when s < 0.0 -> invalid_arg "Budget.make: negative timeout"
   | _ -> ());
@@ -129,8 +125,6 @@ let make ?timeout ?fuel ?max_recursion ?max_size ?chaos () =
     deadline;
     initial_fuel;
     fuel = initial_fuel;
-    max_recursion;
-    max_size;
     (* The first tick replenishes, which reads the clock, so an
        already-expired deadline is noticed immediately rather than
        [clock_period] ticks later. *)
@@ -158,9 +152,7 @@ let escalate ?(factor = 4.0) ?(extend_deadline = false) b =
   { b with timeout; deadline; initial_fuel; fuel = initial_fuel; credit = 0 }
 
 let is_unlimited b =
-  b.deadline = None && b.initial_fuel = max_int && b.max_recursion = None
-  && b.max_size = None
-  && b.chaos == None
+  b.deadline = None && b.initial_fuel = max_int && b.chaos == None
 
 let remaining_fuel b =
   if b.initial_fuel = max_int then None else Some (b.fuel + b.credit)
@@ -206,24 +198,6 @@ let tick ?(what = "solver") () =
   (match b.chaos with None -> () | Some c -> chaos_step c what);
   if b.credit > 0 then b.credit <- b.credit - 1 else replenish b what
 
-let check_size ?(what = "structure") n =
-  match !current.max_size with
-  | Some cap when n > cap ->
-      raise
-        (Exhausted
-           (Limit_exceeded
-              (Printf.sprintf "%s: size %d exceeds the limit %d" what n cap)))
-  | _ -> ()
-
-let check_depth ?(what = "recursion") d =
-  match !current.max_recursion with
-  | Some cap when d > cap ->
-      raise
-        (Exhausted
-           (Limit_exceeded
-              (Printf.sprintf "%s: depth %d exceeds the limit %d" what d cap)))
-  | _ -> ()
-
 let pp fmt b =
   if is_unlimited b then Format.pp_print_string fmt "unlimited"
   else begin
@@ -236,8 +210,6 @@ let pp fmt b =
            else
              Some
                (Printf.sprintf "fuel %d/%d" (b.fuel + b.credit) b.initial_fuel));
-          Option.map (Printf.sprintf "max-recursion %d") b.max_recursion;
-          Option.map (Printf.sprintf "max-size %d") b.max_size;
           Option.map
             (fun c ->
               Printf.sprintf "chaos seed %d rate %.4f" c.c_seed

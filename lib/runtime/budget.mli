@@ -1,5 +1,5 @@
-(** Resource budgets: wall-clock deadlines, monotone fuel counters and
-    recursion/size limits for the worst-case-intractable solvers.
+(** Resource budgets: wall-clock deadlines and monotone fuel counters
+    for the worst-case-intractable solvers.
 
     Every decision procedure in this library is exponential in the
     worst case (Table 1 of the paper), so production callers wrap them
@@ -17,14 +17,16 @@ type failure =
   | Fuel_exhausted of string
       (** the fuel counter reached zero; the payload names the loop
           that consumed the last unit *)
-  | Limit_exceeded of string  (** a recursion/size/structural limit *)
+  | Limit_exceeded of string
+      (** a structural limit: out of memory, stack overflow, a killed
+          worker *)
   | Solver_error of string
       (** the solver failed for a non-resource reason (invalid
           argument, internal failure) *)
 
 exception Exhausted of failure
-(** Raised by {!tick}/{!check_size}/{!check_depth} when the installed
-    budget is spent. Catch it via {!Guard.run}, not manually. *)
+(** Raised by {!tick} when the installed budget is spent. Catch it via
+    {!Guard.run}, not manually. *)
 
 type t
 (** A budget. Mutable: fuel is consumed as the computation runs. *)
@@ -63,7 +65,7 @@ val unlimited : t
     budget; ticks against it stay on the decrement-and-branch fast
     path. *)
 
-(** [make ?timeout ?fuel ?max_recursion ?max_size ?chaos ()] builds a
+(** [make ?timeout ?fuel ?chaos ()] builds a
     budget. [timeout] is in seconds from now (the deadline is absolute,
     so one budget bounds the total wall time of everything run under
     it); [fuel] is the number of cooperative ticks allowed.
@@ -79,14 +81,12 @@ val unlimited : t
 val make :
   ?timeout:float ->
   ?fuel:int ->
-  ?max_recursion:int ->
-  ?max_size:int ->
   ?chaos:int * float ->
   unit ->
   t
 
 val refresh : t -> t
-(** [refresh b] is a budget with [b]'s deadline and limits but the fuel
+(** [refresh b] is a budget with [b]'s deadline but the fuel
     refilled to its initial amount — used by degradation ladders to
     give each fallback rung a fresh fuel slice under the same overall
     deadline. A chaos stream, if armed, is shared with [b] (it
@@ -127,13 +127,5 @@ val tick : ?what:string -> unit -> unit
     ticks, checks the wall clock. [what] names the calling loop for the
     {!Fuel_exhausted} payload.
     @raise Exhausted when the budget is spent. *)
-
-val check_size : ?what:string -> int -> unit
-(** [check_size ~what n] raises {!Exhausted} with [Limit_exceeded] when
-    the ambient budget caps sizes below [n]. *)
-
-val check_depth : ?what:string -> int -> unit
-(** [check_depth ~what d] raises {!Exhausted} with [Limit_exceeded]
-    when the ambient budget caps recursion below [d]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -170,18 +170,11 @@ let db_identity_key ~db_key e =
    single slot retains at most one database that is no longer served. *)
 type key_outcome = Ball of string | Dense
 
-module Elem_tbl = Hashtbl.Make (struct
-  type t = Elem.t
-
-  let equal = Elem.equal
-  let hash = Elem.hash
-end)
-
 type key_memo = {
   km_db : Db.t;
   km_radius : int;
   km_fuel : int;
-  km_keys : key_outcome Elem_tbl.t;  (* elements of [km_db]'s domain *)
+  km_keys : key_outcome Elem.Tbl.t;  (* elements of [km_db]'s domain *)
 }
 
 let key_memo : key_memo option ref = ref None
@@ -191,7 +184,7 @@ let () =
     ~validate:(fun () ->
       match !key_memo with
       | None -> true
-      | Some m -> Elem_tbl.length m.km_keys <= Db.domain_size m.km_db)
+      | Some m -> Elem.Tbl.length m.km_keys <= Db.domain_size m.km_db)
     (fun () -> key_memo := None)
 
 let memo_for db ~radius ~fuel =
@@ -203,7 +196,7 @@ let memo_for db ~radius ~fuel =
           km_db = db;
           km_radius = radius;
           km_fuel = fuel;
-          km_keys = Elem_tbl.create 64;
+          km_keys = Elem.Tbl.create 64;
         }
       in
       key_memo := Some m;
@@ -215,7 +208,7 @@ let key_for t snap ~db_key db e =
   | Some r -> (
       let memo = memo_for db ~radius:r ~fuel:t.cfg.key_fuel in
       let outcome =
-        match Elem_tbl.find_opt memo.km_keys e with
+        match Elem.Tbl.find_opt memo.km_keys e with
         | Some o -> o
         | None ->
             let budget = Budget.make ~fuel:t.cfg.key_fuel () in
@@ -229,7 +222,7 @@ let key_for t snap ~db_key db e =
             (* Only elements of the domain: the table stays bounded by
                the database whatever entities a caller names. *)
             if Elem.Set.mem e (Db.domain db) then
-              Elem_tbl.replace memo.km_keys e o;
+              Elem.Tbl.replace memo.km_keys e o;
             o
       in
       match outcome with Ball k -> k | Dense -> db_identity_key ~db_key e)

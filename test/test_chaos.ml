@@ -327,6 +327,28 @@ let cases =
     };
   ]
 
+(* Sep[*] on Example 6.2, then the statistic of that dimension: an abort
+   anywhere in the one combination search (or the realizable-set sweep
+   before it) must leave both reproducible. *)
+let min_dimension_case =
+  let lang = Language.Cq_atoms { m = 1; p = None } in
+  let show t =
+    match Cqfeat.min_dimension lang t with
+    | None -> "none"
+    | Some d -> (
+        match Cqfeat.generate ~dim:d lang t with
+        | Some (stat, _) ->
+            Printf.sprintf "%d: %s" d
+              (String.concat "; " (List.map Cq.to_string stat))
+        | None -> Printf.sprintf "%d: no statistic" d)
+  in
+  {
+    c_name = "cqfeat.min_dimension(cq[1])";
+    reference = (fun () -> show (Families.example_62 ()));
+    budgeted =
+      (fun b -> Guard.run b (fun () -> show (Families.example_62 ())));
+  }
+
 (* --- the chaos loop --------------------------------------------------- *)
 
 let seeds_per_case = 250
@@ -593,6 +615,8 @@ let () =
               test_interruption_floor;
             Alcotest.test_case "chaos is deterministic per seed" `Quick
               test_chaos_deterministic;
+            Alcotest.test_case min_dimension_case.c_name `Slow
+              (run_case min_dimension_case);
           ] );
       ( "isolate",
         [

@@ -251,6 +251,13 @@ let test_classify_retry () =
   check int_c "without --retry fuel 100 is exhausted (exit 3)" 3
     (fst (run_cqsep args))
 
+(* Sep[*] through the CLI: Example 6.2 needs two CQ features. *)
+let test_mindim () =
+  check
+    Alcotest.(pair int string)
+    "cqsep mindim -l cq" (0, "minimum CQ dimension: 2\n")
+    (run_cqsep [ "mindim"; "-l"; "cq"; "../data/example62.db" ])
+
 let () =
   Alcotest.run "integration"
     [
@@ -267,5 +274,6 @@ let () =
           Alcotest.test_case "model lifecycle" `Quick test_model_lifecycle;
           Alcotest.test_case "cqsep classify --retry" `Quick
             test_classify_retry;
+          Alcotest.test_case "cqsep mindim" `Quick test_mindim;
         ] );
     ]

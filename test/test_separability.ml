@@ -282,44 +282,6 @@ let test_example62_dimension () =
   Alcotest.(check (option int)) "min dimension CQ[1]" (Some 2)
     (Cqfeat.min_dimension (cqm 1) t)
 
-(* The l1 support seeding ([?seed_numeric]) is a search-order
-   heuristic: on 50 planted instances (random path databases, random
-   labels, random candidate indicator sets) the seeded and unseeded
-   searches must return the same verdict. *)
-let test_seed_numeric_agreement () =
-  let rng = Random.State.make [| 20190705 |] in
-  let mismatches = ref 0 in
-  for _ = 1 to 50 do
-    let n = 4 + Random.State.int rng 4 in
-    let db = Families.path n in
-    let entities = Db.entities db in
-    let labeling =
-      Labeling.of_list
-        (List.map
-           (fun e ->
-             (e, if Random.State.bool rng then Labeling.Pos else Labeling.Neg))
-           entities)
-    in
-    let t = Labeling.training db labeling in
-    let sets =
-      List.filter
-        (fun s -> not (Elem.Set.is_empty s))
-        (List.init
-           (3 + Random.State.int rng 4)
-           (fun _ ->
-             Elem.Set.of_list
-               (List.filter (fun _ -> Random.State.bool rng) entities)))
-    in
-    let dim = 1 + Random.State.int rng 2 in
-    let unseeded = Dim_sep.separable_with_sets ~dim ~sets t in
-    let seeded =
-      Dim_sep.separable_with_sets ~seed_numeric:true ~dim ~sets t
-    in
-    if unseeded <> seeded then incr mismatches
-  done;
-  check int_c "seeded and unseeded verdicts agree on all 50 instances" 0
-    !mismatches
-
 let test_unbounded_dimension_growth () =
   (* Thm 8.7 shape: the alternating chain needs ever more features.
      Candidate indicator sets come from the enumerated GHW(1) fragment
@@ -337,12 +299,9 @@ let test_unbounded_dimension_growth () =
         (fun s -> not (Elem.Set.is_empty s))
         (Fo_dimension.indicator_family ~queries:qs ~db:t.Labeling.db)
     in
-    let rec go d =
-      if d > 2 * m then Alcotest.fail "chain must be separable"
-      else if Dim_sep.separable_with_sets ~dim:d ~sets t then d
-      else go (d + 1)
-    in
-    go 0
+    match Dim_sep.witness_with_sets ~dim:(2 * m) ~sets t with
+    | Some (chosen, _) -> List.length chosen
+    | None -> Alcotest.fail "chain must be separable"
   in
   let d1 = min_dim_with_enumerated_sets 1 in
   let d2 = min_dim_with_enumerated_sets 2 in
@@ -383,6 +342,104 @@ let prop_lemma65 =
       let inst = Qbe.make db ~pos ~neg in
       let reduced = Dim_sep.qbe_to_sep ~l inst in
       Qbe.cq_decide inst = Cqfeat.separable ~dim:l cq_all reduced)
+
+(* --- the one combination search: Sep[l], Sep[*] and ApxSep[l] -------- *)
+
+(* Small random trainings: 2 to 4 entities among 5 elements, over an
+   edge relation and a unary one, sparse for some seeds. *)
+let dim_training_arb =
+  QCheck.(
+    map
+      (fun (seed, entities) ->
+        Gen_db.random_training ~seed ~schema:[ ("E", 2); ("U", 1) ]
+          ~domain_size:5 ~facts_per_rel:(1 + (seed mod 4)) ~entities ())
+      (pair (int_range 0 10_000) (int_range 2 4)))
+
+(* The definition the one-pass search replaces: the first dimension [d]
+   with [L]-Sep[d], up to [|η(D)|]. *)
+let reference_min_dimension lang t =
+  let n = List.length (Db.entities t.Labeling.db) in
+  let rec go d =
+    if d > n then None
+    else if Cqfeat.separable ~dim:d lang t then Some d
+    else go (d + 1)
+  in
+  go 0
+
+let prop_apx_dim_eps0_is_sep =
+  QCheck.Test.make ~name:"ApxSep[l] at eps=0 is Sep[l]" ~count:20
+    QCheck.(pair dim_training_arb (int_range 0 2))
+    (fun (t, dim) ->
+      List.for_all
+        (fun lang ->
+          Cqfeat.apx_separable ~dim ~eps:(rat 0 1) lang t
+          = Cqfeat.separable ~dim lang t)
+        [ cqm 1; cqm 2 ])
+
+let prop_apx_dim_monotone =
+  QCheck.Test.make ~name:"ApxSep[l] monotone in l and eps" ~count:15
+    dim_training_arb (fun t ->
+      let epss = [ rat 0 1; rat 1 4; rat 1 2 ] in
+      List.for_all
+        (fun lang ->
+          let apx dim eps = Cqfeat.apx_separable ~dim ~eps lang t in
+          List.for_all
+            (fun dim ->
+              let row = List.map (apx dim) epss in
+              let rec up = function
+                | a :: (b :: _ as rest) -> ((not a) || b) && up rest
+                | _ -> true
+              in
+              up row
+              && List.for_all2
+                   (fun a b -> (not a) || b)
+                   row
+                   (List.map (apx (dim + 1)) epss))
+            [ 0; 1; 2 ])
+        [ cqm 1; cqm 2 ])
+
+(* Besides the reference, dimension 0 is checked on its own: with no
+   feature only a uniform labeling separates (FO counts from 1). *)
+let prop_min_dimension_is_first_separable =
+  QCheck.Test.make ~name:"min_dimension = first l with Sep[l]" ~count:20
+    dim_training_arb (fun t ->
+      let uniform =
+        match Db.entities t.Labeling.db with
+        | [] -> true
+        | e :: rest ->
+            let label e = Labeling.get e t.Labeling.labeling in
+            List.for_all (fun e' -> label e' = label e) rest
+      in
+      List.for_all
+        (fun lang ->
+          let d = Cqfeat.min_dimension lang t in
+          d = reference_min_dimension lang t
+          && (lang = Language.Fo || d = Some 0 = uniform))
+        [ cqm 1; cqm 2; Language.Fo; cq_all; ghw 1 ])
+
+(* The min-error leaf stops at error 0 exactly where the witness search
+   stops: on the same first separating choice. *)
+let prop_min_errors_zero_is_witness =
+  QCheck.Test.make ~name:"min_errors_with_sets 0 = witness_with_sets"
+    ~count:15
+    QCheck.(pair dim_training_arb (int_range 0 2))
+    (fun (t, dim) ->
+      let sets = Dim_sep.realizable_sets (cqm 2) t in
+      match
+        ( Dim_sep.min_errors_with_sets ~dim ~sets t,
+          Dim_sep.witness_with_sets ~dim ~sets t )
+      with
+      | Some (0, chosen, _), Some (chosen', _) ->
+          List.equal Elem.Set.equal chosen chosen'
+      | Some (err, chosen, _), None -> err > 0 && List.length chosen <= dim
+      | _ -> false)
+
+let prop_epfo_realizable_sets_are_cq =
+  QCheck.Test.make ~name:"realizable_sets Epfo = realizable_sets CQ" ~count:10
+    dim_training_arb (fun t ->
+      List.equal Elem.Set.equal
+        (Dim_sep.realizable_sets Language.Epfo t)
+        (Dim_sep.realizable_sets cq_all t))
 
 (* Bounded-dimension generation: the realized features reproduce the
    chosen indicator sets and separate with the returned classifier. *)
@@ -872,8 +929,6 @@ let () =
       ( "dimension (Sec 6)",
         [
           Alcotest.test_case "example 6.2 dimensions" `Quick test_example62_dimension;
-          Alcotest.test_case "seeded search agrees" `Quick
-            test_seed_numeric_agreement;
           Alcotest.test_case "dim generation 6.2" `Quick test_dim_generate_example62;
           Alcotest.test_case "dim generation ghw" `Quick test_dim_generate_ghw;
           Alcotest.test_case "VC reduction triangle" `Quick test_vc_reduction_triangle;
@@ -888,6 +943,14 @@ let () =
           qcheck prop_dim_bounded_implies_unbounded;
           qcheck prop_unbounded_dim_sep_equals_enough_dim;
           qcheck prop_lemma65;
+        ] );
+      ( "dimension search",
+        [
+          qcheck prop_apx_dim_eps0_is_sep;
+          qcheck prop_apx_dim_monotone;
+          qcheck prop_min_dimension_is_first_separable;
+          qcheck prop_min_errors_zero_is_witness;
+          qcheck prop_epfo_realizable_sets_are_cq;
         ] );
       ( "languages (Sec 8)",
         [
