@@ -566,7 +566,8 @@ let bench_prop69_vertex_cover () =
 
 let bench_eval_engines () =
   Bench_util.header
-    "eval/engines — CQ evaluation: backtracking vs Yannakakis vs width-k      decomposition";
+    "eval/engines — CQ evaluation: hom search vs Yannakakis vs width-k \
+     decomposition";
   Bench_util.row
     [ (20, "query"); (10, "|D|"); (12, "hom"); (12, "yannakakis"); (14, "ghw-decomp") ];
   Bench_util.rule ();
@@ -675,39 +676,6 @@ let bench_ablate_preorder () =
           (16, Bench_util.pp_ns without_p);
         ])
     [ 2; 4; 6 ]
-
-let bench_ablate_hom_candidates () =
-  Bench_util.header
-    "ablate/hom — join-based candidate generation in the homomorphism      search vs naive domain scan";
-  Bench_util.row
-    [ (10, "|D|"); (14, "join-based"); (14, "naive") ];
-  Bench_util.rule ();
-  (* A negative instance with a long rigid pattern: candidate
-     generation limits the branching to matching facts, the naive scan
-     tries the whole domain at every level. *)
-  List.iter
-    (fun nodes ->
-      let src = Db.without_rel Db.entity_rel (Families.path 8) in
-      let dst = Db.without_rel Db.entity_rel (Families.path nodes) in
-      (* src has one more edge than... src maps into dst iff 8 <= nodes;
-         use nodes-1 edges target to get a hard negative *)
-      let dst_neg = Db.without_rel Db.entity_rel (Families.cycle nodes) in
-      ignore dst;
-      let smart =
-        Bench_util.time_ns ~name:"join" (fun () ->
-            ignore (Hom.exists ~src ~dst:dst_neg ()))
-      in
-      let naive =
-        Bench_util.time_ns ~name:"naive" (fun () ->
-            ignore (Hom.exists ~naive:true ~src ~dst:dst_neg ()))
-      in
-      Bench_util.row
-        [
-          (10, string_of_int nodes);
-          (14, Bench_util.pp_ns smart);
-          (14, Bench_util.pp_ns naive);
-        ])
-    [ 10; 20; 40 ]
 
 (* ------------------------------------------------------------------ *)
 (* Budgeted runtime: cooperative fuel/deadline checks must be nearly  *)
@@ -1460,7 +1428,6 @@ let experiments =
     ("fok/game", bench_fok_game);
     ("eval/engines", bench_eval_engines);
     ("ablate/preorder", bench_ablate_preorder);
-    ("ablate/hom", bench_ablate_hom_candidates);
     ("runtime/guard_overhead", bench_guard_overhead);
     ("runtime/isolate_overhead", bench_isolate_overhead);
     ("service/wal_throughput", bench_wal_throughput);

@@ -104,7 +104,8 @@ let classify (t : Labeling.training) eval_db =
   | Error _ ->
       invalid_arg "Cq_sep.classify: training database is not CQ-separable"
   | Ok labels ->
-      let arrow rep f = Hom.pointed t.db [ rep ] eval_db [ f ] in
+      let ctx = Hom.context ~src:t.db ~dst:eval_db in
+      let arrow rep f = Hom.find_ctx ctx ~fix:[ (rep, f) ] <> None in
       List.fold_left
         (fun acc (f, l) -> Labeling.set f l acc)
         Labeling.empty

@@ -15,10 +15,9 @@ let rat_of_string s =
   | [ n; d ] -> Rat.make (Bigint.of_string n) (Bigint.of_string d)
   | _ -> raise (Parse_error (Printf.sprintf "bad rational %S" s))
 
-(* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — same
-   parameters as the WAL's frame checksum; the check value of
-   "123456789" is 0xCBF43926, asserted by the registry validator.
-   Private copy: core cannot depend on the service library. *)
+(* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320); the check
+   value of "123456789" is 0xCBF43926, asserted by the registry
+   validator. The service library's WAL frames use it too. *)
 let crc_table =
   lazy
     (Array.init 256 (fun n ->

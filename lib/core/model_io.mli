@@ -23,6 +23,11 @@
 
 type model = { statistic : Statistic.t; classifier : Linsep.classifier }
 
+(** [crc32 s] is the CRC-32 (IEEE 802.3, reflected) of [s]: [crc32
+    "123456789"] is [0xCBF43926]. It checks model files here and WAL
+    frames in {!Journal_codec}, and seeds per-job jitter from job ids. *)
+val crc32 : string -> int
+
 exception Parse_error of string
 
 (** [make statistic classifier] validates the dimensions.

@@ -31,11 +31,13 @@ let max_var_occurrences q =
   (* cqlint: allow R6 — max is commutative and associative: fold order cannot change the result *)
   Hashtbl.fold (fun _ c acc -> max c acc) occ 0
 
-let selects q db e =
-  Hom.pointed q.canon [ q.free ] db [ e ]
+let selector q db =
+  let ctx = Hom.context ~src:q.canon ~dst:db in
+  fun e -> Hom.find_ctx ctx ~fix:[ (q.free, e) ] <> None
 
-let eval q db =
-  List.filter (fun e -> selects q db e) (Db.entities db)
+let selects q db e = selector q db e
+
+let eval q db = List.filter (selector q db) (Db.entities db)
 
 let contained_in q1 q2 =
   Hom.pointed q2.canon [ q2.free ] q1.canon [ q1.free ]

@@ -54,6 +54,11 @@ val max_var_occurrences : t -> int
 (** [selects q db e] decides [e ∈ q(db)] by homomorphism search. *)
 val selects : t -> Db.t -> Elem.t -> bool
 
+(** [selector q db] is [selects q db], with one homomorphism-search
+    context over [(canonical q, db)] built up front and shared by every
+    element asked. *)
+val selector : t -> Db.t -> Elem.t -> bool
+
 (** [eval q db] is [q(db)]: the entities of [db] selected by [q]. *)
 val eval : t -> Db.t -> Elem.t list
 

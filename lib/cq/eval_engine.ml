@@ -7,8 +7,8 @@ let plan q =
   Budget.tick ~what:"query planning" ();
   (* The structured engines pay a per-query planning cost that grows
      with the atom count (cubic ear search, exponential decomposition
-     search); for very large queries — e.g. deep unravelings — the
-     backtracking search's lazy pruning wins. *)
+     search); for very large queries — e.g. deep unravelings — hom
+     search, which plans nothing, wins. *)
   if Cq.num_atoms q > 300 then Hom_search
   else
   match Join_tree.build q with
@@ -178,11 +178,11 @@ let columns b db es =
     (match p with
     | Hom_search ->
         (* A pointed search per asked element, once per distinct one
-           (at its latest position). *)
+           (at its latest position), all on one context. *)
+        let selects = Cq.selector q db in
         Array.iteri
           (fun i e ->
-            if List.hd (Elem.Tbl.find positions e) = i && Cq.selects q db e
-            then mark e)
+            if List.hd (Elem.Tbl.find positions e) = i && selects e then mark e)
           es
     | p -> mark_all (eval_in rels q p));
     col

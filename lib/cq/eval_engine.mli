@@ -5,8 +5,9 @@
       Yannakakis engine ({!Join_tree}) — polynomial.
     - Otherwise, if a width-k decomposition with small k exists, the
       decomposition engine ({!Ghw_eval}) — polynomial for fixed k.
-    - Otherwise per-entity backtracking homomorphism search ({!Cq}) —
-      NP-hard combined complexity, matching the general case.
+    - Otherwise homomorphism search ({!Cq.selector}): one context per
+      query and database, one pinned question per entity — NP-hard
+      combined complexity, matching the general case.
 
     A feature list is compiled once into a {!batch} and evaluated per
     database by {!columns}. A feature whose atoms fall into several

@@ -12,11 +12,14 @@ let fo_inseparable_witness (t : Labeling.training) =
 
 let fo_separable t = fo_inseparable_witness t = None
 
+(* Every arrow is a pinned question on one context over (D, D). *)
 let epfo_separable (t : Labeling.training) =
-  not
-    (List.exists
-       (fun (e, e') -> Hom.equiv_pointed t.db e t.db e')
-       (opposite_pairs t))
+  match opposite_pairs t with
+  | [] -> true
+  | pairs ->
+      let ctx = Hom.context ~src:t.db ~dst:t.db in
+      let arrow a b = Hom.find_ctx ctx ~fix:[ (a, b) ] <> None in
+      not (List.exists (fun (e, e') -> arrow e e' && arrow e' e) pairs)
 
 let group_by_iso db entities =
   List.fold_left

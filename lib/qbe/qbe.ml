@@ -20,11 +20,14 @@ let make db ~pos ~neg =
 let product_of_positives inst =
   Product.pointed (List.map (fun a -> (inst.db, a)) inst.pos)
 
+(* One homomorphism-search context between the product and the
+   database answers every negative as a pinned question. *)
 let cq_decide inst =
+  inst.neg = []
+  ||
   let p, point = product_of_positives inst in
-  List.for_all
-    (fun b -> not (Hom.pointed p [ point ] inst.db [ b ]))
-    inst.neg
+  let ctx = Hom.context ~src:p ~dst:inst.db in
+  List.for_all (fun b -> Hom.find_ctx ctx ~fix:[ (point, b) ] = None) inst.neg
 
 let cq_explanation ?(minimize = false) inst =
   if not (cq_decide inst) then None

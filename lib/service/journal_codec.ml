@@ -17,30 +17,6 @@ let header_len = String.length magic + 4 + 4
    allocation. *)
 let max_payload = 16 * 1024 * 1024
 
-(* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the check
-   value of "123456789" is 0xCBF43926, asserted by the test suite. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF
-
-let () =
-  Runtime_state.register ~name:"service.journal_codec.crc_table"
-    ~validate:(fun () -> crc32 "123456789" = 0xCBF43926)
-    (fun () -> ())
-
 let put_u32be buf v =
   Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
   Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
@@ -60,7 +36,7 @@ let encode payload =
   let buf = Buffer.create (header_len + n) in
   Buffer.add_string buf magic;
   put_u32be buf n;
-  put_u32be buf (crc32 payload);
+  put_u32be buf (Model_io.crc32 payload);
   Buffer.add_string buf payload;
   Buffer.contents buf
 
@@ -85,6 +61,6 @@ let decode s ~pos =
     else if len - pos - header_len < plen then Error Truncated
     else
       let payload = String.sub s (pos + header_len) plen in
-      if crc32 payload <> crc then Error (Corrupt "checksum mismatch")
+      if Model_io.crc32 payload <> crc then Error (Corrupt "checksum mismatch")
       else Ok (payload, pos + header_len + plen)
   end

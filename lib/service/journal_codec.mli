@@ -2,14 +2,10 @@
 
     A frame is [magic "CQW1" | length (u32 BE) | crc32 (u32 BE) |
     payload]. The magic and declared length make a torn tail write
-    decode as {!Truncated}; the CRC-32 catches payload corruption the
-    length cannot. Frames are self-delimiting, so a log is replayed by
-    decoding frames back to back until the bytes run out. *)
-
-val crc32 : string -> int
-(** CRC-32 (IEEE 802.3, reflected): [crc32 "123456789"] is
-    [0xCBF43926]. Also used to derive deterministic per-job jitter
-    seeds from job ids. *)
+    decode as {!Truncated}; the CRC-32 ({!Model_io.crc32}) catches
+    payload corruption the length cannot. Frames are self-delimiting,
+    so a log is replayed by decoding frames back to back until the
+    bytes run out. *)
 
 val header_len : int
 (** Bytes of framing overhead per record. *)

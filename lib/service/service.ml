@@ -122,7 +122,7 @@ let breaker t cls =
    readable, unique per log, and a stable jitter seed. *)
 let make_id seq spec =
   Printf.sprintf "j%06d-%08x" seq
-    (Journal_codec.crc32 (Printf.sprintf "%d %s" seq (Job.describe spec)))
+    (Model_io.crc32 (Printf.sprintf "%d %s" seq (Job.describe spec)))
 
 let seq_of_id id =
   match String.index_opt id '-' with

@@ -46,7 +46,7 @@ let start t ~now ~id ~deadline spec =
      built inside the worker by [Job.execute]. *)
   let timeout = Option.map (fun d -> Float.max 0.0 (d -. now)) deadline in
   let retry = t.s_retry in
-  let jitter_seed = Journal_codec.crc32 id in
+  let jitter_seed = Model_io.crc32 id in
   let worker =
     Isolate.spawn ~budget:Budget.unlimited ?timeout ~grace:t.s_grace (fun () ->
         Job.execute ?retry ~jitter_seed spec)

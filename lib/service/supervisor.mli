@@ -30,7 +30,7 @@ val start : t -> now:float -> id:string -> deadline:float option ->
   Job.spec -> unit
 (** Fork a worker for the job. [deadline] (absolute) caps the worker's
     wall clock; the job's own budget comes from its spec. The worker's
-    backoff jitter is seeded from [crc32 id].
+    backoff jitter is seeded from [Model_io.crc32 id].
     @raise Failure when the pool is full — callers gate on
     {!has_capacity}. *)
 

@@ -544,6 +544,34 @@ let test_engine_planning () =
   Alcotest.(check string) "triangle planned decomposed" "ghw-decomposition"
     (plan_name (q "x :- E(a,b), E(b,c), E(c,a)"))
 
+(* A depth-2 unraveling of a small random graph has 581 atoms, so it
+   plans to hom search. Its column over a 40-node graph must come back
+   within a million ticks of fuel, and every entity it selects must
+   have a homomorphism witness. *)
+let test_unraveled_feature_under_fuel () =
+  let g = Gen_db.random_graph_db ~seed:3 ~nodes:6 ~edges:12 () in
+  let feature = Unravel.unravel ~k:1 ~depth:2 (g, List.hd (Db.entities g)) in
+  Alcotest.(check int) "atoms" 581 (Cq.num_atoms feature);
+  Alcotest.(check string) "planned to hom search" "hom-search"
+    (Eval_engine.plan_kind_name (Eval_engine.plan feature));
+  let db = Gen_db.random_graph_db ~seed:7 ~nodes:40 ~edges:80 () in
+  match
+    Guard.run (Budget.make ~fuel:1_000_000 ()) (fun () ->
+        Eval_engine.eval feature db)
+  with
+  | Error f -> Alcotest.fail (Guard.failure_to_string f)
+  | Ok selected ->
+      Alcotest.(check bool) "selects some entity" true (selected <> []);
+      let src = Cq.canonical feature in
+      List.iter
+        (fun f ->
+          match Hom.find ~fix:[ (Cq.free feature, f) ] ~src ~dst:db () with
+          | Some h ->
+              Alcotest.(check bool) "witness is a hom" true
+                (Hom.is_hom h ~src ~dst:db)
+          | None -> Alcotest.fail ("no witness for " ^ Elem.to_string f))
+        selected
+
 let test_parse_errors () =
   let bad s =
     match Cq_parse.parse s with
@@ -625,6 +653,8 @@ let () =
           Alcotest.test_case "join tree shapes" `Quick test_join_tree_shapes;
           Alcotest.test_case "yannakakis" `Quick test_yannakakis_eval;
           Alcotest.test_case "planning" `Quick test_engine_planning;
+          Alcotest.test_case "unraveled feature under fuel" `Quick
+            test_unraveled_feature_under_fuel;
           qcheck prop_engines_agree;
         ] );
     ]

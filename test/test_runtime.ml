@@ -349,16 +349,22 @@ let exhaustion_labels ?(cap = 2048) run =
   in
   List.sort_uniq compare (go 1 [])
 
-let test_tight_fuel_hom_bfs () =
+(* A single question builds a context (arc consistency over every
+   source fact) and then branches on a smallest domain: both loops
+   must be interruptible. A directed cycle is arc consistent with every
+   domain full, so the search has to branch. *)
+let test_tight_fuel_hom_search () =
   let db =
     db_of_spec
-      { nodes = 5; edges = [ (0, 1); (1, 2); (2, 3); (3, 4) ]; unary = [] }
+      { nodes = 4; edges = [ (0, 1); (1, 2); (2, 3); (3, 0) ]; unary = [] }
   in
   let labels =
     exhaustion_labels (fun () -> ignore (Hom.exists ~src:db ~dst:db ()))
   in
-  check bool_c "the BFS while-loop in Hom.search_order is interruptible" true
-    (List.mem "hom: BFS search order" labels)
+  check bool_c "the arc-consistency loop is interruptible" true
+    (List.mem "hom: arc consistency" labels);
+  check bool_c "the branching search is interruptible" true
+    (List.mem "hom: consistent search" labels)
 
 (* The pinned queries of a preorder build one pin index per entity and
    run the shared kill fixpoint, unpinned in the context and then once
@@ -538,8 +544,8 @@ let () =
           qcheck prop_simplex_structured;
           qcheck prop_preorder_structured;
           qcheck prop_ghw_classify_structured;
-          Alcotest.test_case "tight fuel: hom BFS" `Quick
-            test_tight_fuel_hom_bfs;
+          Alcotest.test_case "tight fuel: hom search" `Quick
+            test_tight_fuel_hom_search;
           Alcotest.test_case "tight fuel: planning and decomposition" `Quick
             test_tight_fuel_plan_and_decomp;
           Alcotest.test_case "tight fuel: cover-game index and fixpoint"

@@ -130,7 +130,7 @@ let submit_ok svc ?deadline spec =
 (* --- codec ----------------------------------------------------------- *)
 
 let test_crc_check_value () =
-  check int_c "crc32 check value" 0xCBF43926 (Journal_codec.crc32 "123456789")
+  check int_c "crc32 check value" 0xCBF43926 (Model_io.crc32 "123456789")
 
 let test_codec_roundtrip () =
   List.iter
