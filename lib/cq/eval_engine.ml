@@ -1,6 +1,6 @@
 type plan =
   | Acyclic of Join_tree.tree
-  | Decomposed of Cq_decomp.decomp list
+  | Decomposed of Ghw_eval.program
   | Hom_search
 
 let plan q =
@@ -22,7 +22,7 @@ let plan q =
           if k > 2 then Hom_search
           else begin
             match Cq_decomp.decomposition q ~k with
-            | Some forest -> Decomposed forest
+            | Some forest -> Decomposed (Ghw_eval.compile q forest)
             | None -> try_width (k + 1)
           end
         in
@@ -36,7 +36,7 @@ let plan_kind_name = function
 
 let eval_in rels q = function
   | Acyclic tree -> Join_tree.eval_tree rels tree
-  | Decomposed forest -> Ghw_eval.eval_with_decomp rels q forest
+  | Decomposed p -> Ghw_eval.run rels p
   | Hom_search -> Cq.eval q (Atom_rels.db rels)
 
 let eval_with_plan q p db = eval_in (Atom_rels.create db) q p

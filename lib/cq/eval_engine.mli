@@ -4,7 +4,12 @@
     - α-acyclic queries (including the free variable) go to the
       Yannakakis engine ({!Join_tree}) — polynomial.
     - Otherwise, if a width-k decomposition with small k exists, the
-      decomposition engine ({!Ghw_eval}) — polynomial for fixed k.
+      decomposition engine ({!Ghw_eval}) — polynomial for fixed k. The
+      plan holds the decomposition compiled into a join program: the
+      atom-to-node assignment, per node a connected join order over its
+      cover and assigned atoms, and each join's key and bound columns
+      are fixed once, at planning, and the program runs on the pass's
+      element ids.
     - Otherwise homomorphism search ({!Cq.selector}): one context per
       query and database, one pinned question per entity — NP-hard
       combined complexity, matching the general case.
@@ -24,11 +29,14 @@
 
 type plan =
   | Acyclic of Join_tree.tree
-  | Decomposed of Cq_decomp.decomp list
+  | Decomposed of Ghw_eval.program
+      (** a decomposition of width at most 2, compiled by
+          {!Ghw_eval.compile} *)
   | Hom_search
 
 (** [plan q] chooses an engine: a join tree when [q] is α-acyclic, else
-    a decomposition of width at most 2, else homomorphism search. *)
+    a decomposition of width at most 2 (the least width that has one),
+    compiled, else homomorphism search. *)
 val plan : Cq.t -> plan
 
 (** [plan_kind_name p] is a short label for reporting/benches. *)
