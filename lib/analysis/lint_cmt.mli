@@ -15,9 +15,6 @@ type unit_info = {
   u_intf : Typedtree.signature option;  (** typed signature from the [.cmti] *)
 }
 
-val module_name_of_source : string -> string
-(** ["lib/core/cq_sep.ml"] → ["Cq_sep"]. *)
-
 val read_impl : string -> (Typedtree.structure, string) result
 (** Read a [.cmt] file; [Error] on a missing file, a magic-number
     mismatch (different compiler), or a cmt that does not carry a full
@@ -25,13 +22,6 @@ val read_impl : string -> (Typedtree.structure, string) result
 
 val read_intf : string -> (Typedtree.signature, string) result
 (** Read a [.cmti] file, same contract as {!read_impl}. *)
-
-val obj_dir_candidates :
-  root:string -> rel_dir:string -> lib_name:string -> string list
-(** Where dune may have put the library's annotations: the in-context
-    [.<lib>.objs/byte] directory (the [@lint] alias runs inside
-    [_build/default]) and the [_build/default] fallback for runs from
-    a source checkout. *)
 
 val load_units :
   root:string ->
@@ -41,7 +31,21 @@ val load_units :
   mli:string list ->
   unit_info list
 (** Pair every source basename of one library directory with whatever
-    annotations exist, probing {!obj_dir_candidates} in order. *)
+    annotations exist, probing the library's [.<lib>.objs/byte]
+    directory in the lint root first (the [@lint] alias runs inside
+    [_build/default]), then under [_build/default] (a run from a
+    source checkout). *)
+
+val load_exec_units :
+  root:string ->
+  rel_dir:string ->
+  ml:string list ->
+  mli:string list ->
+  unit_info list
+(** {!load_units} for a directory of executables: [foo.ml]'s
+    annotation is [dune__exe__Foo.cmt] in one of the directory's
+    [.<exe>.eobjs/byte] directories, one per executables stanza, in
+    the same two places ([dune build @<dir>/check] writes them). *)
 
 val unannotated : unit_info list -> string list
 (** Sources that have no readable matching annotation. *)

@@ -110,21 +110,23 @@ let matches_baseline entries (f : Lint_finding.t) =
       && e.b_key = f.Lint_finding.key)
     entries
 
-(* --- per-file runs ---------------------------------------------------- *)
+(* --- R4: .mli coverage ------------------------------------------------ *)
 
-let lint_source_counted ?(extra = []) ~rules (src : Lint_source.t) =
-  let enabled r = List.mem r rules in
-  let raw =
-    (if enabled Lint_finding.R2 then Lint_rules.r2_exceptions src else [])
-    @ if enabled Lint_finding.R3 then Lint_rules.r3_comparisons src else []
-  in
-  (* R0 findings (malformed directives) ride along unconditionally: a
-     broken suppression must never pass silently. [extra] is the typed
-     findings attributed to this file — suppression directives govern
-     them exactly like the Parsetree findings. *)
-  Lint_source.apply src (raw @ extra)
-
-let lint_source ~rules src = fst (lint_source_counted ~rules src)
+let r4_missing_mli ~dir ~ml ~mli =
+  List.filter_map
+    (fun f ->
+      let base = Filename.chop_suffix f ".ml" in
+      if List.mem (base ^ ".mli") mli then None
+      else
+        Some
+          (Lint_finding.v ~rule:Lint_finding.R4 ~file:(Filename.concat dir f)
+             ~line:1 ~col:0
+             ~key:(Printf.sprintf "mli:%s" base)
+             (Printf.sprintf
+                "module `%s` has no .mli: every library module must declare \
+                 its public surface"
+                (String.capitalize_ascii base))))
+    (List.filter (fun f -> Filename.check_suffix f ".ml") ml)
 
 let read_file path =
   match open_in_bin path with
@@ -154,8 +156,8 @@ type dirspec = {
   ds_mli : string list;
 }
 
-(* [bin]/[bench] hold executables: no .mli discipline, no typed
-   pass — R0/R2/R3 apply. *)
+(* [bin]/[bench] hold executables: no .mli discipline, and only the
+   per-unit typed rules (R2, R3). *)
 let exec_dirs = [ "bin"; "bench" ]
 
 let scan_dirs root =
@@ -237,15 +239,17 @@ let lib_name_of_dune path =
       in
       find 0
 
-let load_dir ~root ~rel_dir ~lib_name ~solver ~ml ~mli =
-  let units = Lint_cmt.load_units ~root ~rel_dir ~lib_name ~ml ~mli in
+(* The loaded units of one directory as typed sources. [Error] names
+   the first source without a readable annotation ([what] it belongs
+   to) and the dune target that builds it. *)
+let typed_sources ~solver ~what ~build units =
   match Lint_cmt.unannotated units with
   | file :: _ ->
       Error
         (Printf.sprintf
-           "%s: no readable .cmt/.cmti annotation under _build (library \
-            %s); run `dune build @lib/all` first"
-           file lib_name)
+           "%s: no readable .cmt/.cmti annotation under _build (%s); run \
+            `dune build %s` first"
+           file what build)
   | [] ->
       Ok
         (List.filter_map
@@ -264,11 +268,23 @@ let load_dir ~root ~rel_dir ~lib_name ~solver ~ml ~mli =
              | _ -> None)
            units)
 
+let load_dir ~root ~rel_dir ~lib_name ~solver ~ml ~mli =
+  typed_sources ~solver ~what:("library " ^ lib_name) ~build:"@lib/all"
+    (Lint_cmt.load_units ~root ~rel_dir ~lib_name ~ml ~mli)
+
+(* The typed sources of the library dirs and of the executable dirs. *)
 let load_typed ~root dirs =
   List.fold_left
     (fun acc ds ->
-      let* acc = acc in
-      if not ds.ds_lib then Ok acc
+      let* libs, execs = acc in
+      if not ds.ds_lib then
+        let* srcs =
+          typed_sources ~solver:false ~what:"executables"
+            ~build:(Printf.sprintf "@%s/check" ds.ds_rel)
+            (Lint_cmt.load_exec_units ~root ~rel_dir:ds.ds_rel ~ml:ds.ds_ml
+               ~mli:ds.ds_mli)
+        in
+        Ok (libs, execs @ srcs)
       else
         match lib_name_of_dune (Filename.concat ds.ds_path "dune") with
         | None ->
@@ -280,12 +296,14 @@ let load_typed ~root dirs =
               load_dir ~root ~rel_dir:ds.ds_rel ~lib_name ~solver:ds.ds_solver
                 ~ml:ds.ds_ml ~mli:ds.ds_mli
             in
-            Ok (acc @ srcs))
-    (Ok []) dirs
+            Ok (libs @ srcs, execs))
+    (Ok ([], [])) dirs
 
 let load_lib ~root =
   let* dirs = scan_dirs root in
-  let* sources = load_typed ~root dirs in
+  let* sources, _ =
+    load_typed ~root (List.filter (fun ds -> ds.ds_lib) dirs)
+  in
   if sources = [] then
     Error (Printf.sprintf "no library modules under %s/lib" root)
   else Ok sources
@@ -350,101 +368,66 @@ let run config =
         parse_baseline contents
   in
   let* dirs = scan_dirs config.root in
-  let* typed_sources = load_typed ~root:config.root dirs in
+  let* libs, execs = load_typed ~root:config.root dirs in
   let enabled r = List.mem r config.rules in
-  let typed_findings, r11_findings =
-    match typed_sources with
-    | [] -> ([], [])
-    | srcs ->
-        let g = build_graph srcs in
-        (* The taint pass feeds both the protocol rules and R11's drift
-           check; compute it once, and only when something enabled
-           wants it. *)
-        let tnt =
-          if
-            List.exists enabled
-              [
-                Lint_finding.R11; Lint_finding.R12; Lint_finding.R13;
-                Lint_finding.R14;
-              ]
-          then Some (Taint.analyze g (impls_of srcs))
-          else None
-        in
-        let proto, r11 =
-          match tnt with
-          | Some tnt ->
-              ( Protocol_rules.run ~rules:config.rules tnt g srcs,
-                if enabled Lint_finding.R11 then r11_drift config tnt g srcs
-                else [] )
-          | None -> ([], [])
-        in
-        ( List.filter
-            (fun (f : Lint_finding.t) -> enabled f.rule)
-            (Typed_rules.run g srcs)
-          @ proto,
-          r11 )
+  let g = build_graph libs in
+  (* The taint pass feeds both the protocol rules and R11's drift check;
+     compute it once, and only when something enabled wants it. *)
+  let proto, r11_findings =
+    if
+      List.exists enabled
+        [ Lint_finding.R11; Lint_finding.R12; Lint_finding.R13;
+          Lint_finding.R14 ]
+    then
+      let tnt = Taint.analyze g (impls_of libs) in
+      ( Protocol_rules.run ~rules:config.rules tnt g libs,
+        if enabled Lint_finding.R11 then r11_drift config tnt g libs else [] )
+    else ([], [])
   in
   let typed_by_file = Hashtbl.create 32 in
   List.iter
     (fun (f : Lint_finding.t) ->
       let prev =
-        match Hashtbl.find_opt typed_by_file f.file with
-        | Some l -> l
-        | None -> []
+        Option.value ~default:[] (Hashtbl.find_opt typed_by_file f.file)
       in
       Hashtbl.replace typed_by_file f.file (f :: prev))
-    typed_findings;
-  let* per_dir =
+    (List.filter
+       (fun (f : Lint_finding.t) -> enabled f.rule)
+       (Typed_rules.run ~execs g libs)
+    @ proto);
+  (* Each file's directives govern the typed findings attributed to it;
+     R0 findings (malformed directives) ride along unconditionally: a
+     broken suppression must never pass silently. *)
+  let* per_file =
     List.fold_left
       (fun acc ds ->
         let* acc = acc in
-        let structural =
-          if ds.ds_lib && enabled Lint_finding.R4 then
-            Lint_rules.r4_missing_mli ~dir:ds.ds_rel ~ml:ds.ds_ml
-              ~mli:ds.ds_mli
-          else []
-        in
-        let* file_findings =
-          List.fold_left
-            (fun acc file ->
-              let* acc = acc in
-              let fs_path = Filename.concat ds.ds_path file in
-              let rel_path = Filename.concat ds.ds_rel file in
-              let* src = Lint_source.load ~path:rel_path fs_path in
-              let extra =
-                match Hashtbl.find_opt typed_by_file rel_path with
-                | Some l -> List.rev l
-                | None -> []
-              in
-              let findings, nsup =
-                lint_source_counted ~extra ~rules:config.rules src
-              in
-              Ok ((1, nsup, findings) :: acc))
-            (Ok [])
-            (ds.ds_ml @ ds.ds_mli)
-        in
-        Ok ((structural, file_findings) :: acc))
+        List.fold_left
+          (fun acc file ->
+            let* acc = acc in
+            let rel_path = Filename.concat ds.ds_rel file in
+            let* src =
+              Lint_source.load ~path:rel_path (Filename.concat ds.ds_path file)
+            in
+            let typed =
+              List.rev
+                (Option.value ~default:[]
+                   (Hashtbl.find_opt typed_by_file rel_path))
+            in
+            Ok (Lint_source.apply src typed :: acc))
+          (Ok acc) (ds.ds_ml @ ds.ds_mli))
       (Ok []) dirs
   in
-  let files_checked =
-    List.fold_left
-      (fun n (_, per_file) ->
-        List.fold_left (fun n (c, _, _) -> n + c) n per_file)
-      0 per_dir
+  let structural =
+    if enabled Lint_finding.R4 then
+      List.concat_map
+        (fun ds ->
+          if ds.ds_lib then r4_missing_mli ~dir:ds.ds_rel ~ml:ds.ds_ml ~mli:ds.ds_mli
+          else [])
+        dirs
+    else []
   in
-  let suppressed =
-    List.fold_left
-      (fun n (_, per_file) ->
-        List.fold_left (fun n (_, s, _) -> n + s) n per_file)
-      0 per_dir
-  in
-  let all =
-    r11_findings
-    @ List.concat_map
-        (fun (structural, per_file) ->
-          structural @ List.concat_map (fun (_, _, fs) -> fs) per_file)
-        per_dir
-  in
+  let all = r11_findings @ structural @ List.concat_map fst per_file in
   (* Suppression filtering already happened per file; now apply the
      baseline. *)
   let kept, grandfathered =
@@ -476,10 +459,10 @@ let run config =
   Ok
     {
       findings = List.sort Lint_finding.compare kept;
-      files_checked;
-      suppressed;
+      files_checked = List.length per_file;
+      suppressed = List.fold_left (fun n (_, s) -> n + s) 0 per_file;
       baselined = List.length grandfathered;
       stale_baseline = List.map render stale;
       missing_file_baseline = List.map render missing_file;
-      typed_modules = List.length typed_sources;
+      typed_modules = List.length libs + List.length execs;
     }

@@ -1,13 +1,15 @@
 (** The cqlint driver: walk [lib/], [bin/] and [bench/], run the
-    enabled rules — the Parsetree rules (R0, R2, R3, R4) everywhere,
-    the typed, whole-library pass over [lib/] — apply suppressions and
-    the committed baseline, and produce a report.
+    enabled rules over the typed trees, apply suppressions and the
+    committed baseline, and produce a report.
 
     The typed pass loads each library's [-bin-annot] output, builds
-    one interprocedural call graph over everything it found, and
-    evaluates R1', R6-R10 and R12-R14. Every [lib/] source must have a
+    one interprocedural call graph over [lib/], and evaluates R1'-R3,
+    R6-R10 and R12-R14 on it; the executables of [bin/] and [bench/]
+    are loaded too, for R2 and R3 only. Every source must have a
     readable [.cmt]/[.cmti]: a missing one is an internal error (run
-    [dune build @lib/all] first; [dune build @lint] does).
+    [dune build @lib/all @bin/check @bench/check] first; [dune build
+    @lint] does). R4 and R11 need only the tree: R4 reads file names,
+    R11 the committed report.
 
     The baseline file grandfathers pre-existing findings without
     touching the offending lines. One finding per line:
@@ -42,13 +44,15 @@ type report = {
   missing_file_baseline : string list;
       (** baseline entries whose file no longer exists — deletable,
           never fixable *)
-  typed_modules : int;  (** modules the typed pass loaded cmts for *)
+  typed_modules : int;
+      (** units the typed pass loaded cmts for, libraries and
+          executables *)
 }
 
-val lint_source :
-  rules:Lint_finding.rule list -> Lint_source.t -> Lint_finding.t list
-(** Run the per-file Parsetree rules (R2, R3) on one parsed source and
-    apply its suppression directives. *)
+val r4_missing_mli :
+  dir:string -> ml:string list -> mli:string list -> Lint_finding.t list
+(** R4: every [.ml] basename in [ml] needs a matching basename in
+    [mli]. Findings point at [dir/<file>.ml] line 1. *)
 
 val load_dir :
   root:string ->
@@ -63,12 +67,13 @@ val load_dir :
     without a readable annotation. *)
 
 val load_lib : root:string -> (Typed_rules.source list, string) result
-(** {!load_dir} over every library under [root/lib] — the typed pass's
-    input. [Error] as {!load_dir}, and when no module loads. *)
+(** {!load_dir} over every library under [root/lib] — the call graph's
+    and the exactness report's input. [Error] as {!load_dir}, and when
+    no module loads. *)
 
 val run : config -> (report, string) result
-(** Lint the tree under [root]. [Error] on unreadable or unparsable
-    sources, on [lib/] sources without annotations and on malformed
+(** Lint the tree under [root]. [Error] on unreadable or unlexable
+    sources, on sources without annotations and on malformed
     baseline files — internal errors, distinct from findings (exit 2
     vs 1). *)
 

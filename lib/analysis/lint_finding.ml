@@ -57,11 +57,13 @@ let rule_doc = function
        cycle in a solver library must reach Budget.tick, through any \
        helpers"
   | R2 ->
-      "exception hygiene: only Guard-convertible or local raises; _b entry \
-       points must wrap their body in Guard.run"
+      "exception hygiene (typed, lib/ bin/ bench/): only Guard-convertible \
+       or same-file raises; _b entry points must wrap their body in \
+       Guard.run"
   | R3 ->
-      "comparison safety: no polymorphic =/compare/Hashtbl.hash on domain \
-       values (Rat.t, Bigint.t, structural keys)"
+      "comparison safety (typed, lib/ bin/ bench/): no polymorphic \
+       =/compare at a type mentioning Rat.t/Bigint.t, no Hashtbl.hash \
+       beyond flat scalars, no stdlib Hashtbl keyed by Rat.t/Bigint.t/Elem.t"
   | R4 ->
       "interface hygiene: every library module has an .mli"
   | R6 ->

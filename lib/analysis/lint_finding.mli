@@ -10,8 +10,10 @@ type rule =
   | R0  (** well-formed [cqlint] directives (always on) *)
   | R1  (** budget discipline (typed): solver loops and recursion must
             reach [Budget.tick] *)
-  | R2  (** exception hygiene: Guard-convertible raises, guarded [_b] *)
-  | R3  (** comparison safety: no polymorphic compare/hash on domain types *)
+  | R2  (** exception hygiene (typed, every unit): Guard-convertible
+            raises, guarded [_b] *)
+  | R3  (** comparison safety (typed, every unit): no polymorphic
+            compare/hash at domain types *)
   | R4  (** interface hygiene: every library module has an [.mli] *)
   | R6  (** determinism (typed): no PRNG/wall-clock/Hashtbl-order on paths
             from a solver's exported surface *)
@@ -37,9 +39,9 @@ type rule =
 val all_rules : rule list
 (** [R1; ...; R14] without [R5] — the toggleable rules ([R0] is always
     enabled). [R5], the Parsetree state-registration rule, was retired
-    in favour of [R9]; its number is not reused. [R1], [R6]-[R10] and
-    [R12]-[R14] are typed; [R11] needs a lint root with a [docs/]
-    directory. *)
+    in favour of [R9]; its number is not reused. [R1]-[R3], [R6]-[R10]
+    and [R12]-[R14] are typed; [R4] reads file names and [R11] needs a
+    lint root with a [docs/] directory. *)
 
 val rule_to_string : rule -> string
 val rule_of_string : string -> rule option

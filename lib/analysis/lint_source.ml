@@ -1,43 +1,33 @@
-type ast =
-  | Impl of Parsetree.structure
-  | Intf of Parsetree.signature
+type t = { path : string; comments : (string * Location.t) list }
 
-type t = {
-  path : string;
-  ast : ast;
-  comments : (string * Location.t) list;
-}
-
-let parse_lexbuf ~path ~intf lexbuf =
+(* The compiler has already parsed and typed every linted file (the
+   rules read its .cmt); only the directives are left, and lexing the
+   file to the end fills the lexer's comment stream. *)
+let lex ~path lexbuf =
   Location.init lexbuf path;
   Lexer.init ();
-  match
-    if intf then Intf (Parse.interface lexbuf)
-    else Impl (Parse.implementation lexbuf)
-  with
-  | ast -> Ok { path; ast; comments = Lexer.comments () }
+  let rec drain () =
+    match Lexer.token lexbuf with Parser.EOF -> () | _ -> drain ()
+  in
+  match drain () with
+  | () -> Ok { path; comments = Lexer.comments () }
   | exception e -> begin
-      (* Render compiler diagnostics (syntax errors, lexer errors)
-         through the compiler's own printer when it knows the
-         exception; anything else is shown raw. *)
+      (* Render lexer errors through the compiler's own printer when it
+         knows the exception; anything else is shown raw. *)
       match Location.error_of_exn e with
       | Some (`Ok err) ->
           Error (Format.asprintf "%a" Location.print_report err)
       | _ -> Error (Printf.sprintf "%s: %s" path (Printexc.to_string e))
     end
 
-let parse_string ~path ~intf source =
-  parse_lexbuf ~path ~intf (Lexing.from_string source)
-
 let load ?path file =
   let path = match path with Some p -> p | None -> file in
-  let intf = Filename.check_suffix file ".mli" in
   match open_in_bin file with
   | exception Sys_error msg -> Error msg
   | ic ->
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> parse_lexbuf ~path ~intf (Lexing.from_channel ic))
+        (fun () -> lex ~path (Lexing.from_channel ic))
 
 (* --- suppression directives ------------------------------------------ *)
 

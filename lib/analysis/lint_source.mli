@@ -1,29 +1,18 @@
-(** Parsed source files and [cqlint] suppression directives.
-
-    Files are parsed with the toolchain's own frontend
-    ([Lexer]/[Parse] from compiler-libs), so the linter sees exactly
-    the tree the compiler sees, plus the comment stream the lexer
-    accumulates — which is where suppression directives live. *)
-
-type ast =
-  | Impl of Parsetree.structure
-  | Intf of Parsetree.signature
+(** Source files as the [cqlint] directives see them: the comment
+    stream of the toolchain's own lexer ([Lexer] from compiler-libs),
+    which is where suppression directives live. The rules themselves
+    read the typed trees ({!Lint_cmt}). *)
 
 type t = {
   path : string;  (** path reported in findings *)
-  ast : ast;
   comments : (string * Location.t) list;
 }
 
 val load : ?path:string -> string -> (t, string) result
-(** [load file] reads and parses [file] ([.mli] as an interface,
-    anything else as an implementation). [path] overrides the path
+(** [load file] reads and lexes [file]. [path] overrides the path
     recorded in findings (the driver passes root-relative paths).
-    [Error msg] on I/O or syntax errors — the linter treats those as
+    [Error msg] on I/O or lexer errors — the linter treats those as
     internal errors (exit 2), not findings. *)
-
-val parse_string : path:string -> intf:bool -> string -> (t, string) result
-(** Parse in-memory source, for the linter's own tests. *)
 
 (** A parsed [(* cqlint: allow R1[,R3] — reason *)] directive. The
     em-dash separator may also be written [--]. The reason is

@@ -1,10 +1,14 @@
-(* The typed rules (R1', R6-R10), on top of the whole-library
+(* The typed rules (R1'-R3, R6-R10), on top of the whole-library
    mention graph built by [Callgraph] from dune's [-bin-annot] output.
+   R2 and R3 read one unit at a time and also run on the executables'
+   units; the graph and the other rules see [lib/] only.
 
    Version discipline matches [Callgraph]: only 4.14..5.x-stable
    Typedtree/Types constructors are matched ([Texp_apply] with its
-   argument list wildcarded, [Texp_ident], [Texp_field] at arity 3,
-   [Tstr_type], [Tsig_value]); binding names come from
+   arguments as [(label, Some e)] pairs, [Texp_ident], [Texp_field]
+   and [Texp_construct] at arity 3, [Texp_letexception],
+   [Tstr_exception], [Tstr_value], [Tstr_type], [Tsig_value]); binding
+   names come from
    [pat_bound_idents]; [Path.t] and [type_kind] matches always carry a
    wildcard arm ([Pextra_ty] and the [Type_abstract] payload are 5.x
    additions). *)
@@ -18,8 +22,8 @@ type source = {
   s_intf : Typedtree.signature option;
 }
 
-(* Per-(file, base) [#n] disambiguation, matching the Parsetree rules'
-   [fresh_key] so suppression and baseline keys stay compatible. *)
+(* Per-(file, base) [#n] disambiguation: the second finding under one
+   key in a file is [key#2], and so on. *)
 let keyed () =
   let tbl = Hashtbl.create 16 in
   fun file base ->
@@ -650,12 +654,197 @@ let r10_escape sources =
         (Escape.analyze s.s_impl))
     sources
 
+(* --- R2 and R3: one unit at a time ------------------------------------- *)
+
+(* R2. Exception constructors Guard.run converts into a structured
+   Error ([Invalid_argument]/[Failure]/[Not_found]/[Stack_overflow]/
+   [Division_by_zero]), plus the runtime's own [Exhausted] and stdlib
+   [Exit] (ubiquitous local control flow, always caught in this
+   codebase). *)
+let convertible =
+  [ "Invalid_argument"; "Failure"; "Not_found"; "Stack_overflow";
+    "Division_by_zero"; "Exhausted"; "Exit" ]
+
+(* A structure-level [_b] binding delegates when its body mentions
+   [Guard.run]/[Guard.run_result] or another [_b] entry point. *)
+let delegates name (body : Typedtree.expression) =
+  let found = ref false in
+  let iter =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          (match e.Typedtree.exp_desc with
+          | Typedtree.Texp_ident (p, _, _) -> begin
+              match Callgraph.global_name p with
+              | Some ("Guard.run" | "Guard.run_result") -> found := true
+              | _ ->
+                  let s = Path.last p in
+                  if s <> name && String.ends_with ~suffix:"_b" s then
+                    found := true
+            end
+          | _ -> ());
+          Tast_iterator.default_iterator.expr self e);
+    }
+  in
+  iter.Tast_iterator.expr iter body;
+  !found
+
+(* R3 judges the type the typechecker instantiated at each use of a
+   polymorphic primitive. [mentioned mods ty] is the first of [mods]
+   whose [M.t] occurs in [ty], through type arguments and tuples. *)
+let rec mentioned mods ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, args, _) -> begin
+      match List.find_opt (fun m -> tyname p = m ^ ".t") mods with
+      | None -> List.find_map (mentioned mods) args
+      | found -> found
+    end
+  | Types.Ttuple ts -> List.find_map (mentioned mods) ts
+  | Types.Tpoly (t, _) -> mentioned mods t
+  | _ -> None
+
+(* Polymorphic [Hashtbl.hash] reads all of a flat scalar; anything
+   deeper (or still a type variable) risks bounded-prefix collisions. *)
+let flat_scalar ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) ->
+      List.mem (tyname p) [ "int"; "char"; "bool"; "float"; "string" ]
+  | _ -> false
+
+let poly_compare_ops = [ "="; "<>"; "compare"; "<"; "<="; ">"; ">=" ]
+
+let hashtbl_key_ops =
+  List.map (( ^ ) "Hashtbl.")
+    [ "add"; "replace"; "find"; "find_opt"; "mem"; "remove" ]
+
+(* Every primitive judged here takes the value it inspects first:
+   ['a -> ...] or [('k, 'v) Hashtbl.t -> 'k -> ...]. [Elem.t] is left
+   out of the comparison check (one canonical representation, ordered
+   by [Elem.compare] exactly as by [Stdlib.compare]) but not out of
+   the key check: the stdlib table hashes a bounded prefix of a nested
+   element. *)
+let r3_check report (e : Typedtree.expression) name =
+  match Types.get_desc e.Typedtree.exp_type with
+  | Types.Tarrow (_, arg, _, _) ->
+      if List.mem name poly_compare_ops then
+        Option.iter
+          (fun m ->
+            report ("polyeq:" ^ m)
+              (Printf.sprintf
+                 "polymorphic `%s` on a %s.t value: use %s.equal/%s.compare \
+                  (structural comparison is wrong or fragile on \
+                  non-canonical representations)"
+                 name m m m))
+          (mentioned [ "Rat"; "Bigint" ] arg)
+      else if name = "Hashtbl.hash" && not (flat_scalar arg) then
+        report "hash"
+          "polymorphic Hashtbl.hash inspects only a bounded prefix of deep \
+           structural values (meaningfully-distinct inputs can collide \
+           systematically): serialize the key explicitly or use the domain \
+           type's dedicated hash"
+      else if List.mem name hashtbl_key_ops then begin
+        match Types.get_desc arg with
+        | Types.Tconstr (_, key :: _, _) ->
+            Option.iter
+              (fun m ->
+                report ("hashtbl-key:" ^ m)
+                  (Printf.sprintf
+                     "default Hashtbl keyed by %s.t hashes with the \
+                      polymorphic hash: key on an explicit serialization \
+                      (e.g. %s.to_string) or a dedicated hashtable"
+                     m m))
+              (mentioned [ "Rat"; "Bigint"; "Elem" ] key)
+        | _ -> ()
+      end
+  | _ -> ()
+
+let unit_rules sources =
+  let fresh = keyed () in
+  List.concat_map
+    (fun s ->
+      let findings = ref [] and raises = ref [] in
+      let locals = Hashtbl.create 8 in
+      let report rule (loc : Location.t) base msg =
+        findings :=
+          Lint_finding.make ~rule ~file:s.s_file ~loc
+            ~key:(fresh s.s_file base) msg
+          :: !findings
+      in
+      let entry (vb : Typedtree.value_binding) =
+        match Typedtree.pat_bound_idents vb.Typedtree.vb_pat with
+        | [ id ]
+          when String.ends_with ~suffix:"_b" (Ident.name id)
+               && not (delegates (Ident.name id) vb.vb_expr) ->
+            report Lint_finding.R2 vb.vb_pat.pat_loc
+              ("entry:" ^ Ident.name id)
+              (Printf.sprintf
+                 "budgeted entry point `%s` can raise outside Guard.run: \
+                  wrap the body in Guard.run/Guard.run_result (or delegate \
+                  to another _b entry point) so exhaustion and solver \
+                  failures return a structured Error"
+                 (Ident.name id))
+        | _ -> ()
+      in
+      let iter =
+        {
+          Tast_iterator.default_iterator with
+          structure_item =
+            (fun self si ->
+              (match si.Typedtree.str_desc with
+              | Typedtree.Tstr_exception te ->
+                  Hashtbl.replace locals
+                    te.Typedtree.tyexn_constructor.ext_name.txt ()
+              | Typedtree.Tstr_value (_, vbs) -> List.iter entry vbs
+              | _ -> ());
+              Tast_iterator.default_iterator.structure_item self si);
+          expr =
+            (fun self e ->
+              (match e.Typedtree.exp_desc with
+              | Typedtree.Texp_ident (p, _, _) ->
+                  Option.iter
+                    (r3_check (report Lint_finding.R3 e.exp_loc) e)
+                    (Callgraph.global_name p)
+              | Typedtree.Texp_letexception (ec, _) ->
+                  Hashtbl.replace locals ec.Typedtree.ext_name.txt ()
+              (* A re-raise of a caught exception value is not a
+                 constructor and passes. *)
+              | Typedtree.Texp_apply
+                  ( { exp_desc = Typedtree.Texp_ident (p, _, _); _ },
+                    ( Asttypes.Nolabel,
+                      Some
+                        { exp_desc = Typedtree.Texp_construct (_, cd, _); _ }
+                    )
+                    :: _ )
+                when List.mem (Path.name p)
+                       [ "Stdlib.raise"; "Stdlib.raise_notrace" ] ->
+                  raises := (e.exp_loc, cd.Types.cstr_name) :: !raises
+              | _ -> ());
+              Tast_iterator.default_iterator.expr self e);
+        }
+      in
+      iter.Tast_iterator.structure iter s.s_impl;
+      List.iter
+        (fun (loc, name) ->
+          if not (List.mem name convertible || Hashtbl.mem locals name) then
+            report Lint_finding.R2 loc ("raise:" ^ name)
+              (Printf.sprintf
+                 "raising `%s` escapes Guard.run unconverted: library code \
+                  may only raise Invalid_argument/Failure/Not_found (mapped \
+                  to Solver_error), Budget.Exhausted, Exit, or an exception \
+                  declared in this file and caught locally"
+                 name))
+        (List.rev !raises);
+      List.rev !findings)
+    sources
+
 (* --- entry point ------------------------------------------------------- *)
 
-let run g sources =
+let run ?(execs = []) g sources =
   let eff =
     Effects.analyze g (List.map (fun s -> (s.s_mod, s.s_impl)) sources)
   in
   let tbl = type_table sources in
-  r1_tick g sources @ r6_determinism g sources @ r7_marshal tbl sources
-  @ r8_drift sources @ r9_effects g eff sources @ r10_escape sources
+  r1_tick g sources @ unit_rules (sources @ execs)
+  @ r6_determinism g sources @ r7_marshal tbl sources @ r8_drift sources
+  @ r9_effects g eff sources @ r10_escape sources

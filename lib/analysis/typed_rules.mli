@@ -1,11 +1,31 @@
 (** The typed lint rules, evaluated over {!Callgraph}'s whole-library
-    mention graph and the loaded typed trees:
+    mention graph and the loaded typed trees. Scopes: R2 and R3 judge
+    one unit at a time and run on every loaded unit, the [lib/]
+    modules and the [bin/]/[bench/] executables ([?execs]); R1', R6,
+    R8 and R9 run on the solver libraries only; R7 and R10 on every
+    [lib/] module.
 
     - {b R1'} — interprocedural budget discipline: every [while]/[for]
       loop and every call-graph cycle in a solver module must reach
       [Budget.tick], through any number of (cross-module) helpers.
       Reported under [R1] with keys [while@encl], [for@encl] and
       [rec:name].
+    - {b R2} — exception hygiene: [raise] only constructors
+      {!Guard.run} converts ([Invalid_argument]/[Failure]/[Not_found]/
+      [Stack_overflow]/[Division_by_zero]), [Budget.Exhausted], [Exit],
+      or exceptions declared in the same file (keys [raise:Name]); and
+      every structure-level [_b] binding must mention
+      [Guard.run]/[Guard.run_result] or delegate to another [_b]
+      (keys [entry:name]). The constructor is the one the typechecker
+      resolved.
+    - {b R3} — comparison safety, judged on the type the typechecker
+      instantiated at each use: polymorphic [=]/[<>]/[compare]/[<]/
+      [<=]/[>]/[>=] at a type mentioning [Rat.t] or [Bigint.t]
+      (through type arguments and tuples; key [polyeq:M]);
+      [Hashtbl.hash] at anything but a flat [int]/[char]/[bool]/
+      [float]/[string] (key [hash]); stdlib [Hashtbl] key operations
+      with a key type mentioning [Rat.t], [Bigint.t] or [Elem.t] (key
+      [hashtbl-key:M]).
     - {b R6} — determinism: no PRNG, wall-clock read, or
       order-dependent [Hashtbl] iteration on any path reachable from a
       solver module's exported surface ([Budget.Clock] is exempt: it
@@ -41,10 +61,13 @@ type source = {
   s_intf : Typedtree.signature option;
 }
 
-val run : Callgraph.t -> source list -> Lint_finding.t list
+val run :
+  ?execs:source list -> Callgraph.t -> source list -> Lint_finding.t list
 (** All typed findings over the loaded set, unfiltered and unsorted.
     The graph must have been built from exactly the [s_impl]s of
-    [sources] (plus any extra context modules). *)
+    [sources] (plus any extra context modules). [execs] (default none)
+    are executable units: R2 and R3 run on them too, but they take no
+    part in the graph or in the other rules. *)
 
 val entry_points : Callgraph.t -> source list -> (source * string * int) list
 (** The exported surface of the solver modules, as [(module source,

@@ -128,7 +128,7 @@ let of_string s =
                     fail ("bad feature: " ^ msg)
               end
             | "threshold" -> begin
-                if !threshold <> None then fail "duplicate threshold";
+                if Option.is_some !threshold then fail "duplicate threshold";
                 match rat_of_string arg with
                 | r -> threshold := Some r
                 | exception _ -> fail "bad threshold"

@@ -19,17 +19,18 @@ let vars q = Db.domain q.canon
 let existential_vars q = Elem.Set.remove q.free (vars q)
 
 let max_var_occurrences q =
-  let occ = Hashtbl.create 16 in
+  let occ = Elem.Tbl.create 16 in
   List.iter
     (fun f ->
       Array.iter
         (fun v ->
-          let c = try Hashtbl.find occ v with Not_found -> 0 in
-          Hashtbl.replace occ v (c + 1))
+          let c = Option.value ~default:0 (Elem.Tbl.find_opt occ v) in
+          Elem.Tbl.replace occ v (c + 1))
         (Fact.args f))
     (atoms q);
-  (* cqlint: allow R6 — max is commutative and associative: fold order cannot change the result *)
-  Hashtbl.fold (fun _ c acc -> max c acc) occ 0
+  (* max is commutative and associative: fold order cannot change the
+     result *)
+  Elem.Tbl.fold (fun _ c acc -> max c acc) occ 0
 
 let selector q db =
   let ctx = Hom.context ~src:q.canon ~dst:db in

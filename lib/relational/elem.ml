@@ -24,7 +24,7 @@ and compare_list xs ys =
 let equal a b = compare a b = 0
 
 (* cqlint: allow R1 — structural recursion bounded by the element's size *)
-let rec hash = function (* cqlint: allow R3 — strings are hashed in full, no prefix truncation *)
+let rec hash = function
   | Sym s -> Hashtbl.hash s
   | Int n -> n * 2654435761
   | Tup es -> List.fold_left (fun acc e -> (acc * 31) + hash e) 17 es
