@@ -39,10 +39,18 @@ type node = {
   toplevel : bool;  (** bound at the structure top level of its module *)
 }
 
+type mention = {
+  m_node : int;
+  m_name : string;
+  m_decl : string option;
+  m_line : int;
+  m_col : int;
+}
+
 type t = {
   g_nodes : node array;
   g_succs : int list array;  (* mention edges, deduplicated, sorted *)
-  g_mentions : (int * string * int * int) list;
+  g_mentions : mention list;
   g_by_global : (string, int) Hashtbl.t;
   g_by_local : (string, int) Hashtbl.t;  (* [scoped] ident keys → def node *)
   g_at : (string * int * int, int) Hashtbl.t;  (* (mod, line, col) → node *)
@@ -86,13 +94,23 @@ let global_name (p : Path.t) =
   | Some id when Ident.global id -> Some (strip_stdlib (Path.name p))
   | _ -> None
 
+(* The compilation unit that declares a value: for a member of a
+   functor instance, the unit of the functor's result signature, so
+   [Elem.Tbl.fold] is declared by [Stdlib__Hashtbl] like
+   [Hashtbl.fold]. *)
+let decl_unit (vd : Types.value_description) =
+  match vd.Types.val_uid with
+  | Shape.Uid.Item { comp_unit; _ } | Shape.Uid.Compilation_unit comp_unit ->
+      Some comp_unit
+  | _ -> None
+
 (* --- construction ----------------------------------------------------- *)
 
 type builder = {
   mutable b_nodes : node list;  (* reversed *)
   mutable b_count : int;
   b_edges : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-  mutable b_mentions : (int * string * int * int) list;
+  mutable b_mentions : mention list;
   b_global : (string, int) Hashtbl.t;
   b_local : (string, int) Hashtbl.t;  (* [scoped] ident keys → def node *)
   b_external : (string, int) Hashtbl.t;
@@ -152,8 +170,17 @@ let qualify ctx short =
       ^ short
 
 let walk_module b ctx (str : Typedtree.structure) =
-  let record_mention path (loc : Location.t) =
+  let record_mention path (loc : Location.t) (vd : Types.value_description) =
     let src = current ctx in
+    let mention m_name =
+      {
+        m_node = src;
+        m_name;
+        m_decl = decl_unit vd;
+        m_line = loc.loc_start.pos_lnum;
+        m_col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
+      }
+    in
     if src >= 0 then begin
       match Option.map (scoped ctx.c_mod) (local_key path) with
       | Some k when Hashtbl.mem b.b_local k ->
@@ -163,12 +190,13 @@ let walk_module b ctx (str : Typedtree.structure) =
           | Some g when Hashtbl.mem b.b_global g ->
               add_edge b src (Hashtbl.find b.b_global g)
           | Some g ->
-              b.b_mentions <-
-                ( src, g, loc.loc_start.pos_lnum,
-                  loc.loc_start.pos_cnum - loc.loc_start.pos_bol )
-                :: b.b_mentions;
+              b.b_mentions <- mention g :: b.b_mentions;
               add_edge b src (external_node b g)
-          | None -> ()
+          | None ->
+              (* A member of a local module the walk defines no value
+                 for, such as a functor instance's: a mention for the
+                 sink rules, not a node. *)
+              b.b_mentions <- mention (Path.name path) :: b.b_mentions
         end
     end
   in
@@ -251,8 +279,8 @@ let walk_module b ctx (str : Typedtree.structure) =
       expr =
         (fun self e ->
           match e.Typedtree.exp_desc with
-          | Typedtree.Texp_ident (path, lid, _) ->
-              record_mention path lid.Location.loc
+          | Typedtree.Texp_ident (path, lid, vd) ->
+              record_mention path lid.Location.loc vd
           | Typedtree.Texp_let (rf, vbs, body) ->
               process_bindings self rf vbs;
               self.Tast_iterator.expr self body
@@ -415,9 +443,7 @@ let build impls =
     g_nodes;
     g_succs;
     g_mentions =
-      List.filter
-        (fun (_, g, _, _) -> not (Hashtbl.mem b.b_global g))
-        b.b_mentions;
+      List.filter (fun m -> not (Hashtbl.mem b.b_global m.m_name)) b.b_mentions;
     g_by_global = b.b_global;
     g_by_local = b.b_local;
     g_at;

@@ -41,9 +41,25 @@ val nodes : t -> node list
 val node : t -> int -> node
 val succs : t -> int -> int list
 
-val mentions : t -> (int * string * int * int) list
-(** Every mention of an external, as [(node, resolved dotted name,
-    line, col)] — the sink-matching input of R6. *)
+(** A mention of a value defined outside the loaded cmts. *)
+type mention = {
+  m_node : int;  (** the definition or loop it is credited to *)
+  m_name : string;
+      (** the resolved dotted name (["Hashtbl.fold"]), or for a member
+          of a local module the path as written
+          (["Component_tbl.iter"]) *)
+  m_decl : string option;
+      (** the compilation unit declaring the value, from its
+          [val_uid]: a member of a [Hashtbl.Make] instance is declared
+          by ["Stdlib__Hashtbl"], like [Hashtbl.fold] itself *)
+  m_line : int;
+  m_col : int;
+}
+
+val mentions : t -> mention list
+(** Every mention of a value defined outside the loaded cmts — the
+    sink-matching input of R6. Mentions of external globals are also
+    graph nodes; members of local modules are not. *)
 
 val find_global : t -> string -> int option
 (** Look up a definition by dotted name, e.g. ["Cq_sep.decide"]. *)

@@ -160,6 +160,25 @@ type dirspec = {
    per-unit typed rules (R2, R3). *)
 let exec_dirs = [ "bin"; "bench" ]
 
+(* Units dune writes into the build tree, where the @lint alias runs:
+   a [copy_files#] copy opens with a line directive naming its
+   original, and an executable's implicit interface is a bare
+   comment. Neither is in the checkout, so neither is linted. *)
+let generated path =
+  let marker = "(* Auto-generated by Dune *)" in
+  (Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli")
+  &&
+  match open_in_bin path with
+  | exception Sys_error _ -> false
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          let len = in_channel_length ic in
+          let head = really_input_string ic (min len 64) in
+          String.starts_with ~prefix:"# 1 \"" head
+          || (len <= 64 && String.trim head = marker))
+
 let scan_dirs root =
   let lib_dir = Filename.concat root "lib" in
   let* subdirs = list_dir lib_dir in
@@ -168,6 +187,7 @@ let scan_dirs root =
   in
   let spec ~rel ~path ~solver ~lib =
     let* entries = list_dir path in
+    let entries = List.filter (fun f -> not (generated (Filename.concat path f))) entries in
     Ok
       {
         ds_rel = rel;

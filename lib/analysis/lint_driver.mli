@@ -54,6 +54,13 @@ val r4_missing_mli :
 (** R4: every [.ml] basename in [ml] needs a matching basename in
     [mli]. Findings point at [dir/<file>.ml] line 1. *)
 
+val generated : string -> bool
+(** [generated path] holds for a source dune wrote into the build tree
+    rather than one of the checkout: a [copy_files#] copy, which opens
+    with a [# 1 "..."] line directive, or an executable's implicit
+    interface, whose whole text is dune's auto-generated comment. The
+    directory scan skips them. *)
+
 val load_dir :
   root:string ->
   rel_dir:string ->

@@ -92,17 +92,26 @@ let r1_tick g sources =
    input: the static counterpart of the chaos tests' rerun-agreement
    check. [Budget.Clock] is exempt by construction — it lives in
    lib/runtime, not in a solver dir, and mentions of it resolve to the
-   Budget module, not to a sink name. *)
-let sink_of name =
-  let starts p =
-    String.length name >= String.length p
-    && String.sub name 0 (String.length p) = p
-  in
-  if starts "Random." then
+   Budget module, not to a sink name. A table's iteration is judged by
+   the unit declaring it, not by its name: [Hashtbl.fold] and the
+   [fold] of any [Hashtbl.Make] instance ([Elem.Tbl.fold], a local
+   [Tbl.fold]) are all declared by [Stdlib__Hashtbl]. *)
+let unordered_iterations =
+  [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
+
+let sink_of name decl =
+  let last = List.hd (List.rev (String.split_on_char '.' name)) in
+  if String.starts_with ~prefix:"Random." name then
     Some
       ( "the global PRNG",
         "thread explicit, seeded state through the solver or drop the \
          randomness" )
+  else if decl = Some "Stdlib__Hashtbl" && List.mem last unordered_iterations
+  then
+    Some
+      ( "order-dependent Hashtbl iteration",
+        "collect the keys, sort them, and fold in sorted order so the \
+         result is independent of insertion history" )
   else
     match name with
     | "Unix.time" | "Unix.gettimeofday" | "Sys.time" ->
@@ -110,11 +119,6 @@ let sink_of name =
           ( "the wall clock",
             "read time through Budget.Clock, the runtime's sanctioned clock"
           )
-    | "Hashtbl.iter" | "Hashtbl.fold" ->
-        Some
-          ( "order-dependent Hashtbl iteration",
-            "collect the keys, sort them, and fold in sorted order so the \
-             result is independent of insertion history" )
     | _ -> None
 
 (* The root set results flow out of: every value a solver module's
@@ -157,29 +161,29 @@ let r6_determinism g sources =
   let fresh = keyed () in
   let ms =
     List.sort
-      (fun (a, an, al, ac) (b, bn, bl, bc) ->
+      (fun (a : Callgraph.mention) (b : Callgraph.mention) ->
         Stdlib.compare
-          ((Callgraph.node g a).Callgraph.modname, al, ac, an)
-          ((Callgraph.node g b).Callgraph.modname, bl, bc, bn))
+          ((Callgraph.node g a.m_node).Callgraph.modname, a.m_line, a.m_col, a.m_name)
+          ((Callgraph.node g b.m_node).Callgraph.modname, b.m_line, b.m_col, b.m_name))
       (Callgraph.mentions g)
   in
   List.filter_map
-    (fun (src, name, line, col) ->
-      let n = Callgraph.node g src in
-      match (Hashtbl.find_opt file_of n.modname, sink_of name) with
-      | Some file, Some (what, fix) when covered src ->
+    (fun (m : Callgraph.mention) ->
+      let n = Callgraph.node g m.m_node in
+      match (Hashtbl.find_opt file_of n.modname, sink_of m.m_name m.m_decl) with
+      | Some file, Some (what, fix) when covered m.m_node ->
           let owner =
             match n.kind with Callgraph.Loop _ -> n.encl | _ -> n.short
           in
           Some
-            (Lint_finding.v ~rule:Lint_finding.R6 ~file ~line ~col
-               ~key:(fresh file (Printf.sprintf "det:%s@%s" name owner))
+            (Lint_finding.v ~rule:Lint_finding.R6 ~file ~line:m.m_line ~col:m.m_col
+               ~key:(fresh file (Printf.sprintf "det:%s@%s" m.m_name owner))
                (Printf.sprintf
                   "`%s` (%s) sits on a path reachable from the solver's \
                    exported surface (via `%s`): solver results must be \
                    bit-for-bit deterministic across reruns and fork \
                    workers; %s"
-                  name what owner fix))
+                  m.m_name what owner fix))
       | _ -> None)
     ms
 

@@ -18,7 +18,8 @@ val all_features : m:int -> ?p:int -> Db.t -> Statistic.t
 (** [pruned_columns ~m ?p db] is the first feature of {!all_features}
     for each distinct indicator column over [Db.entities db], with that
     column: one {!Eval_engine.columns} pass over the enumerated list's
-    memoized batch ({!Cq_enum.feature_batch}). *)
+    memoized batch ({!Cq_enum.feature_batch}), which evaluates nearly
+    every component from a parent one atom smaller. *)
 val pruned_columns : m:int -> ?p:int -> Db.t -> (Cq.t * Eval_engine.column) list
 
 (** [pruned_features ~m ?p t] drops features whose indicator column

@@ -8,16 +8,13 @@ let vectors_of_columns cols es =
       (e, Array.map (fun c -> if Eval_engine.Column.mem c i then 1 else -1) cols))
     es
 
-let vectors_for stat db es =
+let vectors_for batch db es =
   match es with
   | [] -> []
-  | _ ->
-      vectors_of_columns
-        (Eval_engine.columns (Eval_engine.batch stat) db (Array.of_list es))
-        es
+  | _ -> vectors_of_columns (Eval_engine.columns batch db (Array.of_list es)) es
 
-let vectors stat db = vectors_for stat db (Db.entities db)
-let vector stat db e = snd (List.hd (vectors_for stat db [ e ]))
+let vectors stat db = vectors_for (Eval_engine.batch stat) db (Db.entities db)
+let vector stat db e = snd (List.hd (vectors_for (Eval_engine.batch stat) db [ e ]))
 
 let label_rows (t : Labeling.training) rows =
   List.map (fun (e, vec) -> { Linsep.vec; label = Labeling.get e t.labeling }) rows

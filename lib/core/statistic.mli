@@ -10,18 +10,23 @@ type t = Cq.t list
 
 val dimension : t -> int
 
-(** [vectors_for stat db es] is [(e, Π^D(e))] for each [e] of [es], in
-    order and with repeats kept (entries [+1]/[-1]; an [e] outside
-    [η(D)] gets all [-1]), in one pass: one {!Eval_engine.columns} call
-    on the batch of [stat], where hom-search x-components run a pointed
-    search per distinct element of [es]. *)
-val vectors_for : t -> Db.t -> Elem.t list -> (Elem.t * int array) list
+(** [vectors_for batch db es] is [(e, Π^D(e))] for each [e] of [es],
+    where [batch] is [Eval_engine.batch stat], compiled once by the
+    caller: in order and with repeats kept (entries [+1]/[-1]; an [e]
+    outside [η(D)] gets all [-1]), in one {!Eval_engine.columns} pass,
+    where hom-search x-components run a pointed search per distinct
+    element of [es]. A serving snapshot compiles its model's batch
+    once, at install, and evaluates every cold batch through it. *)
+val vectors_for :
+  Eval_engine.batch -> Db.t -> Elem.t list -> (Elem.t * int array) list
 
-(** [vector stat db e] is [Π^D(e)]: [vectors_for] on [[e]]. *)
+(** [vector stat db e] is [Π^D(e)]: [vectors_for] on [[e]], with the
+    batch of [stat] compiled for this call. *)
 val vector : t -> Db.t -> Elem.t -> int array
 
 (** [vectors stat db] is [Π^D] over all entities of [db]: [vectors_for]
-    on [Db.entities db]. *)
+    on [Db.entities db], with the batch of [stat] compiled for this
+    call. *)
 val vectors : t -> Db.t -> (Elem.t * int array) list
 
 (** [examples stat t] is the training collection

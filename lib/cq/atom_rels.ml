@@ -39,6 +39,8 @@ let shape_key atom firsts =
   Fact.rel atom ^ "/"
   ^ String.concat "," (Array.to_list (Array.map string_of_int firsts))
 
+let shape atom = shape_key atom (first_positions (Fact.args atom))
+
 let rows t atom =
   let args = Fact.args atom in
   let firsts = first_positions args in
@@ -105,7 +107,7 @@ let elem_of_id t i =
 
 let id_rows t atom =
   let ids = ids t in
-  let key = shape_key atom (first_positions (Fact.args atom)) in
+  let key = shape atom in
   match Hashtbl.find_opt ids.id_table key with
   | Some rows -> rows
   | None ->

@@ -32,6 +32,11 @@ val db : t -> Db.t
     occurrence — the columns of its rows. *)
 val distinct_vars : Fact.t -> Elem.t list
 
+(** [shape atom] names the shape of [atom]: its relation name and
+    which of its positions repeat a variable. Two atoms get the same
+    name iff they get the same rows on every database. *)
+val shape : Fact.t -> string
+
 (** [rows t atom] is the relation of [atom]: for each fact of its
     relation with its arity that repeats a value wherever [atom]
     repeats a variable, the values at the variables' first positions.

@@ -28,8 +28,7 @@ let max_var_occurrences q =
           Elem.Tbl.replace occ v (c + 1))
         (Fact.args f))
     (atoms q);
-  (* max is commutative and associative: fold order cannot change the
-     result *)
+  (* cqlint: allow R6 — max is commutative and associative: fold order cannot change the result *)
   Elem.Tbl.fold (fun _ c acc -> max c acc) occ 0
 
 let selector q db =

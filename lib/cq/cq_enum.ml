@@ -116,7 +116,7 @@ let feature_batch ?max_var_occ ~schema ~max_atoms () =
   match memo_entry ?max_var_occ ~schema ~max_atoms () with
   | _, (qs, Some b) -> (qs, b)
   | key, (qs, None) ->
-      let b = Eval_engine.batch qs in
+      let b = Eval_engine.linked_batch qs in
       Hashtbl.replace memo key (qs, Some b);
       (qs, b)
 

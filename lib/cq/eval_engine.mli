@@ -25,7 +25,28 @@
     non-emptiness test and evaluates each x-component once. A batch
     holds no database state, so one batch serves every database; the
     caller keeps it ({!Cq_enum.feature_batch} memoizes the batch of an
-    enumerated list). *)
+    enumerated list).
+
+    An enumerated list is closed under dropping an atom, and adding an
+    atom only shrinks a component's answers, so its batch is compiled
+    along the atom-extension lattice ({!linked_batch}): each component
+    it can is linked to a parent, another component of the batch with
+    exactly its atoms minus one, and evaluated from the parent's
+    bindings on the pass's element ids ({!Atom_rels.id_rows}), never
+    planned:
+    - a component that some other component extends keeps its full
+      binding table, every variable bound: its parent's table joined
+      with the extra atom's rows;
+    - any other is a semijoin of its parent's table with the extra
+      atom, since [π_X(P ⋈ a) = π_X(P ⋉ a)]: an x-column marks the x
+      ids whose rows survive, a Boolean component stops at its first
+      surviving row;
+    - an empty parent settles its children without evaluating them.
+
+    The roots are [eta(x)] and the one-atom Boolean components, whose
+    tables are one atom's id rows. Components with no linked parent
+    keep their plan, and so does every component of a {!batch}: kept
+    statistics, served models and {!eval} are never linked. *)
 
 type plan =
   | Acyclic of Join_tree.tree
@@ -83,13 +104,35 @@ type batch
     once with {!plan}. *)
 val batch : Cq.t list -> batch
 
+(** [linked_batch qs] is [batch qs] with each distinct component
+    linked, where it can be, to a parent: a root or linked component
+    of the same kind in the batch whose atoms are exactly its atoms
+    minus one (same variables, not up to renaming), sharing a variable
+    with the extra atom. Among several parents, one that already has a
+    child is preferred, so that fewer components keep their tables.
+    The roots are the x-component [eta(x)] alone and the one-atom
+    Boolean components. A root or linked component is not planned;
+    every other one is planned as in [batch]. Only a list closed under
+    dropping an atom, as {!Cq_enum.feature_batch}'s, links most of its
+    components; any list gives the same columns. *)
+val linked_batch : Cq.t list -> batch
+
+(** [link_counts b] is, for the x-components and then the Boolean
+    components of [b], how many are roots or linked, and how many
+    there are. *)
+val link_counts : batch -> (int * int) * (int * int)
+
 (** [columns b db es] is the column of each feature of [b], in order,
     over the positions of [es] (repeats allowed): position [i] is set
     iff [es.(i) ∈ q(db)], so an element outside [η(db)] is never set.
     A feature's column is its x-column when all its Boolean
     components hold in [db], else empty. An x-component planned as
     hom search runs a pointed search per distinct element of [es];
-    the others are evaluated once over [db]. *)
+    the others are evaluated once over [db]. Along a linked batch's
+    lattice, each atom's id rows are grouped once per pass on each
+    column a link probes, and a component's table is built on its
+    first request (so an x-component no feature needs builds
+    nothing). *)
 val columns : batch -> Db.t -> Elem.t array -> column array
 
 (** [eval q db] is [q(db)] — a one-feature batch over

@@ -60,13 +60,15 @@ let default_config =
 
 type snapshot = {
   s_version : int;
-  s_model : Model_io.model;
   s_radius : int option;
       (* [Some r]: neighborhood keys of radius [r]; [None]: some
          feature is disconnected, use database-identity keys. *)
   s_classify : int array -> Labeling.label;
       (* [Linsep.classify] applied to the model's classifier once, at
          install, so cold batches skip restaging it. *)
+  s_batch : Eval_engine.batch;
+      (* the statistic's features split, deduplicated and planned
+         once, at install, so cold batches skip recompiling them *)
 }
 
 type db_entry = { de_path : string; de_fingerprint : string; de_db : Db.t }
@@ -93,14 +95,14 @@ type t = {
 let snapshot_of version model =
   {
     s_version = version;
-    s_model = model;
     s_radius = Neighborhood.model_radius model.Model_io.statistic;
     s_classify = Linsep.classify model.Model_io.classifier;
+    s_batch = Eval_engine.batch model.Model_io.statistic;
   }
 
-let install t version model =
-  t.snapshot <- Some (snapshot_of version model);
-  Eval_cache.set_version t.cache version
+let install t snap =
+  t.snapshot <- Some snap;
+  Eval_cache.set_version t.cache snap.s_version
 
 let create ?(config = default_config) store =
   let t =
@@ -126,7 +128,7 @@ let create ?(config = default_config) store =
     }
   in
   (match Model_store.current_version store with
-  | Some v -> install t v (Model_store.load store v)
+  | Some v -> install t (snapshot_of v (Model_store.load store v))
   | None -> ());
   t
 
@@ -134,8 +136,11 @@ let store t = t.store
 let current_version t = match t.snapshot with Some s -> Some s.s_version | None -> None
 
 let publish t m =
+  (* Compiled before the write, so a compile that fails publishes
+     nothing. *)
+  let snap = snapshot_of 0 m in
   let v = Model_store.publish t.store m in
-  install t v m;
+  install t { snap with s_version = v };
   t.publishes <- t.publishes + 1;
   v
 
@@ -143,7 +148,7 @@ let rollback t =
   match Model_store.rollback t.store with
   | Error _ as e -> e
   | Ok v ->
-      install t v (Model_store.load t.store v);
+      install t (snapshot_of v (Model_store.load t.store v));
       t.rollbacks <- t.rollbacks + 1;
       Ok v
 
@@ -305,13 +310,12 @@ let classify t ~db_key ~db entities =
             let budget =
               Budget.make ?timeout:t.cfg.eval_timeout ?fuel:t.cfg.eval_fuel ()
             in
-            let stat = snap.s_model.Model_io.statistic in
             match
               Guard.run budget (fun () ->
                   List.map2
                     (fun (_, k) (e, vec) -> (e, k, snap.s_classify vec))
                     cold
-                    (Statistic.vectors_for stat db (List.map fst cold)))
+                    (Statistic.vectors_for snap.s_batch db (List.map fst cold)))
             with
             | Error f ->
                 t.eval_failures <- t.eval_failures + 1;

@@ -13,12 +13,12 @@ let fixture_dir = "typed_fixtures"
 let all_ml =
   [ "tf_cross_helper.ml"; "tf_cross_loop.ml"; "tf_cross_loop_suppressed.ml";
     "tf_cross_tick.ml"; "tf_scc.ml"; "tf_r6_random.ml"; "tf_r6_clock.ml";
-    "tf_r6_floatfold.ml"; "tf_r6_suppressed.ml"; "tf_r7_closure.ml";
+    "tf_r6_floatfold.ml"; "tf_r6_tbl.ml"; "tf_r6_suppressed.ml"; "tf_r7_closure.ml";
     "tf_r7_ok.ml"; "tf_r7_suppressed.ml"; "tf_drift.ml";
     "tf_numeric_drift.ml" ]
 
 let all_mli =
-  [ "tf_r6_random.mli"; "tf_r6_clock.mli"; "tf_r6_floatfold.mli";
+  [ "tf_r6_random.mli"; "tf_r6_clock.mli"; "tf_r6_floatfold.mli"; "tf_r6_tbl.mli";
     "tf_drift.mli"; "tf_numeric_drift.mli" ]
 
 let load ~lib_name ~ml ~mli =
@@ -216,6 +216,13 @@ let test_r6_float_fold () =
     [ ("R6", "det:Hashtbl.fold@total"); ("R9", "effect:record") ]
     (rule_keys (findings_for "tf_r6_floatfold.ml"))
 
+let test_r6_functor_instances () =
+  (* [Ids] is written to by nothing the export reaches, so no R9 rides
+     along here. *)
+  check keys_c "Elem.Tbl.fold and a local instance's iter, judged by their declaring unit"
+    [ ("R6", "det:Elem.Tbl.fold@first_key"); ("R6", "det:Ids.iter@listed") ]
+    (rule_keys (findings_for "tf_r6_tbl.ml"))
+
 let test_r6_suppression () =
   check
     Alcotest.(pair keys_c int)
@@ -294,6 +301,7 @@ let () =
             test_r6_random_reachable;
           Alcotest.test_case "clock exempt" `Quick test_r6_clock_exempt;
           Alcotest.test_case "float fold" `Quick test_r6_float_fold;
+          Alcotest.test_case "functor instances" `Quick test_r6_functor_instances;
           Alcotest.test_case "suppression" `Quick test_r6_suppression;
         ] );
       ( "r7",

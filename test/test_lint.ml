@@ -213,6 +213,32 @@ let test_baseline_reasons () =
   | Ok [ _ ] -> ()
   | Ok _ | Error _ -> Alcotest.fail "comments/blank lines must be skipped"
 
+(* Only the checkout is linted: dune's copies and implicit executable
+   interfaces in the build tree are skipped, a hand-written interface
+   that happens to open with the same comment is not. *)
+let test_generated_skipped () =
+  let file suffix text =
+    let path = Filename.temp_file "cqlint_generated" suffix in
+    let oc = open_out_bin path in
+    output_string oc text;
+    close_out oc;
+    path
+  in
+  let cases =
+    [
+      ("copy", file ".ml" "# 1 \"test/linsep_ref.ml\"\nlet x = 1\n", true);
+      ("implicit mli", file ".mli" "(* Auto-generated by Dune *)", true);
+      ("written mli", file ".mli" "(* Auto-generated by Dune *)\nval x : int\n", false);
+      ("plain ml", file ".ml" "let x = 1\n", false);
+    ]
+  in
+  List.iter
+    (fun (what, path, want) ->
+      let got = Lint_driver.generated path in
+      Sys.remove path;
+      check Alcotest.bool what want got)
+    cases
+
 (* The dogfooding invariant the @lint alias enforces: the library tree
    itself is clean. Run from the repo checkout when available (the test
    binary may run in a sandbox that only has the fixtures). *)
@@ -277,6 +303,7 @@ let () =
           Alcotest.test_case "R3 silent on Elem.t and strings" `Quick
             test_r3_silent;
           Alcotest.test_case "R4 fires" `Quick test_r4_fires;
+          Alcotest.test_case "generated units skipped" `Quick test_generated_skipped;
           Alcotest.test_case "R9 fires" `Quick test_r9_fires;
           Alcotest.test_case "R9 suppressed" `Quick test_r9_suppressed;
           Alcotest.test_case "R9 registered clean" `Quick

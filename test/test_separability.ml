@@ -575,8 +575,8 @@ let prop_vectors_for_matches_reference =
       let kind q = Eval_engine.plan_kind_name (Eval_engine.plan q) in
       kind clique_feature = "hom-search"
       && kind triangle_feature = "ghw-decomposition"
-      && Statistic.vectors_for stat db [] = []
-      && rows_match stat db (Statistic.vectors_for stat db es) es
+      && Statistic.vectors_for (Eval_engine.batch stat) db [] = []
+      && rows_match stat db (Statistic.vectors_for (Eval_engine.batch stat) db es) es
       && rows_match stat db (Statistic.vectors stat db) (Db.entities db)
       && List.for_all
            (fun e -> Statistic.vector stat db e = reference_vector stat db e)
@@ -586,13 +586,15 @@ let prop_vectors_for_matches_reference =
 
 let batch_schema = [ ("E", 2); ("U", 1) ]
 
-(* [columns] against the planner-free oracle, a pointed hom search per
-   feature and element of [es], and against each feature evaluated
-   whole through its own plan. *)
-let columns_match features db es =
-  let cols =
-    Eval_engine.columns (Eval_engine.batch features) db (Array.of_list es)
+(* [columns] of [batch] (by default the plain batch of [features])
+   against the planner-free oracle, a pointed hom search per feature
+   and element of [es], and against each feature evaluated whole
+   through its own plan. *)
+let columns_match ?batch features db es =
+  let batch =
+    match batch with Some b -> b | None -> Eval_engine.batch features
   in
+  let cols = Eval_engine.columns batch db (Array.of_list es) in
   Array.length cols = List.length features
   && List.for_all2
        (fun q col ->
@@ -633,6 +635,89 @@ let prop_batch_columns_match_reference =
       in
       columns_match features db es)
 
+(* The enumeration's batch is linked along the atom-extension lattice
+   ([Eval_engine.linked_batch]); a plain batch of the same list is
+   not, so the property above never reaches the lattice. With a
+   ternary relation the lattice has children sharing two variables
+   with their parent (T(x,y0,y1), then E(y0,y1)) and atoms repeating a
+   variable (E(y0,y0)); at most 8 facts per relation, and none for
+   some seeds, leave roots empty, which settles every component under
+   them. *)
+let lattice_schemas =
+  [| [ ("E", 2); ("U", 1) ]; [ ("T", 3); ("E", 2); ("U", 1) ] |]
+
+let prop_lattice_columns_match_reference =
+  QCheck.Test.make ~name:"enumeration batch columns = per-feature evaluation"
+    ~count:16
+    QCheck.(quad (int_range 0 10_000) (int_range 1 3) (int_range 0 2) bool)
+    (fun (seed, m, p, ternary) ->
+      let schema = lattice_schemas.(if ternary then 1 else 0) in
+      let m = if ternary then min m 2 else m in
+      let t =
+        Gen_db.random_training ~seed ~schema ~domain_size:6
+          ~facts_per_rel:(seed mod 9) ~entities:5 ()
+      in
+      let db = t.Labeling.db in
+      let features, batch =
+        Cq_enum.feature_batch
+          ?max_var_occ:(if p = 0 then None else Some p)
+          ~schema ~max_atoms:m ()
+      in
+      columns_match ~batch features db
+        (Elem.sym "absent" :: Elem.Set.elements (Db.domain db)))
+
+(* The ternary enumeration links most of its components, but not all:
+   E(y0,y1),T(y2,x,y0) loses x without T, and T(y2,x,y0) alone is
+   enumerated as T(y0,x,y1), so it stays on its plan. *)
+let test_lattice_links () =
+  let features, b =
+    Cq_enum.feature_batch ~schema:lattice_schemas.(1) ~max_atoms:2 ()
+  in
+  let (xl, xt), (bl, bt) = Eval_engine.link_counts b in
+  check bool_c "most x-components linked, some planned" true
+    (2 * xl > xt && xl < xt);
+  check bool_c "every Boolean component linked" true (bl = bt && bt > 0);
+  let (xl', _), (bl', _) =
+    Eval_engine.link_counts (Eval_engine.batch features)
+  in
+  check (Alcotest.pair int_c int_c) "a plain batch links nothing" (0, 0) (xl', bl')
+
+(* Every shape of link, by hand: a child sharing two variables with
+   its parent, atoms repeating a variable, a Boolean chain; on
+   databases where T, or E, is empty, so that a parent is empty or an
+   extra atom has no rows. *)
+let test_lattice_shapes () =
+  let features =
+    Cq.top
+    :: List.map Cq_parse.parse
+         [
+           "x :- T(x,y,z)";
+           "x :- T(x,y,z), E(y,z)";
+           "x :- T(x,y,z), E(y,z), E(z,z)";
+           "x :- U(x)";
+           "x :- U(x), E(x,x)";
+           "x :- E(w,w)";
+           "x :- E(w,w), T(w,v,v)";
+           "x :- U(x), E(w,w), T(w,v,v)";
+         ]
+  in
+  let b = Eval_engine.linked_batch features in
+  let (xl, xt), (bl, bt) = Eval_engine.link_counts b in
+  check bool_c "every component linked" true (xl = xt && bl = bt);
+  let db text =
+    (Textfmt.training_of_document (Textfmt.parse_string text)).Labeling.db
+  in
+  let labels = "+a\n-c\n+d\n" in
+  let ts = "T(a,b,c)\nT(c,d,d)\nT(d,b,b)\n"
+  and es = "E(b,c)\nE(c,c)\nE(a,a)\nE(d,d)\n" in
+  List.iter
+    (fun text ->
+      let db = db text in
+      check bool_c "linked = reference" true
+        (columns_match ~batch:b features db
+           (Elem.sym "zz" :: Elem.Set.elements (Db.domain db))))
+    [ ts ^ es ^ "U(a)\nU(d)\n" ^ labels; es ^ "U(a)\n" ^ labels; ts ^ labels ]
+
 (* More than 62 entities: the columns span several words. *)
 let test_batch_columns_many_entities () =
   let t = random_batch_training ~seed:11 ~size:70 in
@@ -645,10 +730,11 @@ let test_batch_columns_many_entities () =
         (Printf.sprintf "CQ[%d%s] columns" m
            (match p with Some p -> Printf.sprintf ",%d" p | None -> ""))
         true
-        (columns_match
-           (Cq_enum.feature_queries ?max_var_occ:p ~schema:batch_schema
-              ~max_atoms:m ())
-           db es))
+        (let features, batch =
+           Cq_enum.feature_batch ?max_var_occ:p ~schema:batch_schema
+             ~max_atoms:m ()
+         in
+         columns_match features db es && columns_match ~batch features db es))
     [ (1, None); (2, None); (2, Some 2); (3, Some 2) ]
 
 (* A Boolean component gates the whole column: a loop or a detached
@@ -973,6 +1059,9 @@ let () =
             test_batch_boolean_components;
           qcheck prop_pruned_features_match_reference;
           qcheck prop_realizable_sets_match_reference;
+          qcheck prop_lattice_columns_match_reference;
+          Alcotest.test_case "lattice links" `Quick test_lattice_links;
+          Alcotest.test_case "lattice shapes" `Quick test_lattice_shapes;
         ] );
       ( "model io",
         [
